@@ -35,15 +35,16 @@
 //! run ends by reading `GET /models` to report how many model versions
 //! the ingested observations produced.
 //!
-//! The client speaks raw HTTP/1.1 over `TcpStream` on purpose: the bench
-//! crate must not depend on `perfpred-serve` (the daemon depends on this
-//! crate for calibration), and a generator that hand-rolls its protocol
-//! also exercises the daemon's parser from the outside.
+//! The client writes its requests by hand over `TcpStream` and reads the
+//! responses with `perfpred_core::http`: the bench crate must not depend
+//! on `perfpred-serve` (the daemon depends on this crate for
+//! calibration), and hand-written requests also exercise the daemon's
+//! parser from the outside.
 
 use perfpred_bench::timing::Recorder;
-use perfpred_core::Json;
+use perfpred_core::{http, Json};
 use perfpred_desim::SimRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -426,7 +427,7 @@ struct Tally {
 /// A persistent keep-alive connection that reconnects on failure.
 struct Connection {
     addr: String,
-    stream: Option<BufReader<TcpStream>>,
+    stream: Option<TcpStream>,
 }
 
 impl Connection {
@@ -437,12 +438,12 @@ impl Connection {
         }
     }
 
-    fn ensure(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
+    fn ensure(&mut self) -> std::io::Result<&mut TcpStream> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(Duration::from_secs(35)))?;
-            self.stream = Some(BufReader::new(stream));
+            self.stream = Some(stream);
         }
         Ok(self.stream.as_mut().expect("just ensured"))
     }
@@ -467,53 +468,23 @@ impl Connection {
     }
 
     fn roundtrip(&mut self, request: &str) -> std::io::Result<(u16, String)> {
-        let reader = self.ensure()?;
-        if let Err(e) = reader.get_mut().write_all(request.as_bytes()) {
-            self.stream = None; // force reconnect next call
-            return Err(e);
-        }
-        match read_response(reader) {
-            Ok(found) => Ok(found),
+        let stream = self.ensure()?;
+        let result = stream
+            .write_all(request.as_bytes())
+            .and_then(|()| http::read_response(stream));
+        match result {
+            Ok((resp, reusable)) => {
+                if !reusable {
+                    self.stream = None; // the daemon is closing this one
+                }
+                Ok((resp.status, resp.body_text()))
+            }
             Err(e) => {
-                self.stream = None;
+                self.stream = None; // force reconnect next call
                 Err(e)
             }
         }
     }
-}
-
-/// Reads one response (status line + headers + Content-Length body).
-/// Returns the status code and the body text.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            content_length = v;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
-    }
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
 /// Observations a reporting client has predicted but not yet fed back:

@@ -24,9 +24,10 @@
 //! returns.
 
 use crate::ring::Ring;
+use perfpred_core::http::{self, ReadOutcome, Request, Response};
 use perfpred_core::{metrics, Json};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -419,8 +420,7 @@ fn probe_all(state: &RouterState) {
 
 /// GET /healthz on one upstream; returns (model_version, is_primary).
 fn probe_one(u: &Upstream, timeout: Duration) -> io::Result<(u64, bool)> {
-    let conn = u.checkout(timeout)?;
-    let mut conn = conn;
+    let mut conn = u.checkout(timeout)?;
     conn.set_read_timeout(Some(timeout))?;
     conn.set_write_timeout(Some(timeout))?;
     write!(
@@ -428,13 +428,11 @@ fn probe_one(u: &Upstream, timeout: Duration) -> io::Result<(u64, bool)> {
         "GET /healthz HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
         u.addr
     )?;
-    let mut reader = BufReader::new(conn);
-    let resp = read_response(&mut reader)?;
+    let (resp, reusable) = http::read_response(&mut conn)?;
     if resp.status != 200 {
         return Err(io::Error::other(format!("healthz status {}", resp.status)));
     }
-    let body = String::from_utf8_lossy(&resp.body);
-    let doc = Json::parse(&body)
+    let doc = Json::parse(&resp.body_text())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("healthz: {e}")))?;
     let version = doc
         .get("model_version")
@@ -444,195 +442,17 @@ fn probe_one(u: &Upstream, timeout: Duration) -> io::Result<(u64, bool)> {
         .get("cluster_role")
         .and_then(Json::as_str)
         .unwrap_or("primary"); // single-node daemons are writable
-    if resp.keep_alive {
-        u.checkin(reader.into_inner());
+    if reusable {
+        u.checkin(conn);
     }
     Ok((version, role == "primary"))
 }
 
-/// A parsed client request (just enough to route and re-emit).
-struct ProxyRequest {
-    method: String,
-    path: String,
-    body: Vec<u8>,
-    keep_alive: bool,
-}
-
-/// A parsed upstream response (relayed headers only).
-struct ProxyResponse {
-    status: u16,
-    content_type: String,
-    allow: Option<String>,
-    body: Vec<u8>,
-    keep_alive: bool,
-}
-
-const MAX_HEAD: usize = 8 * 1024;
-const MAX_BODY: usize = 1024 * 1024;
-
-/// Reads one HTTP/1.1 request; `Ok(None)` on clean close between
-/// requests.
-fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<ProxyRequest>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_uppercase();
-    let path = parts.next().unwrap_or("").to_string();
-    if method.is_empty() || !path.starts_with('/') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
-    }
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    let mut head_bytes = line.len();
-    loop {
-        let mut header = String::new();
-        if r.read_line(&mut header)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            match name.to_ascii_lowercase().as_str() {
-                "content-length" => {
-                    content_length = value.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                }
-                "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok(Some(ProxyRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
-
-/// Reads one HTTP/1.1 response from an upstream.
-fn read_response<R: BufRead>(r: &mut R) -> io::Result<ProxyResponse> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))?;
-    let mut content_length = 0usize;
-    let mut content_type = "application/json".to_string();
-    let mut allow = None;
-    let mut keep_alive = true;
-    loop {
-        let mut header = String::new();
-        if r.read_line(&mut header)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            match name.to_ascii_lowercase().as_str() {
-                "content-length" => {
-                    content_length = value.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                }
-                "content-type" => content_type = value.to_string(),
-                "allow" => allow = Some(value.to_string()),
-                "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok(ProxyResponse {
-        status,
-        content_type,
-        allow,
-        body,
-        keep_alive,
-    })
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
-fn write_client_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    allow: Option<&str>,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
-        reason(status)
-    )?;
-    if let Some(allow) = allow {
-        write!(w, "Allow: {allow}\r\n")?;
-    }
-    write!(
-        w,
-        "Content-Length: {}\r\nConnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-fn error_body(message: &str) -> Vec<u8> {
-    let mut m = Json::obj();
-    m.set("error", message);
-    m.render().into_bytes()
-}
-
 /// Extracts the consistent-hash key: the `server` field of a JSON body,
 /// falling back to the path for body-less requests.
-fn hash_key(req: &ProxyRequest) -> String {
+fn hash_key(req: &Request) -> String {
     if !req.body.is_empty() {
-        if let Ok(doc) = Json::parse(&String::from_utf8_lossy(&req.body)) {
+        if let Ok(doc) = req.json() {
             if let Some(server) = doc.get("server").and_then(Json::as_str) {
                 return server.to_string();
             }
@@ -641,100 +461,52 @@ fn hash_key(req: &ProxyRequest) -> String {
     req.path.clone()
 }
 
-/// One client connection: route and forward until close.
+/// One client connection: route and forward until close. Framing is the
+/// shared codec's, so the router refuses what a serve node refuses —
+/// 413/431 for oversized input, and a 400 for framing it cannot parse
+/// (`Transfer-Encoding` included) — before anything is forwarded, and
+/// then drains and closes the connection.
 fn serve_client(stream: TcpStream, state: &RouterState) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    let mut req = Request::default();
+    let mut out = Vec::new();
     loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                write_client_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    None,
-                    &error_body(&e.to_string()),
-                    false,
-                )?;
-                return Ok(());
-            }
-            Err(_) => return Ok(()),
+        let outcome = http::read_request(&mut &stream, &mut buf, &mut req, 0)?;
+        let resp = match outcome {
+            ReadOutcome::Request => route(state, &req),
+            ReadOutcome::Reject { status, message } => Response::error(status, message),
+            ReadOutcome::Malformed => Response::error(400, "malformed request"),
+            ReadOutcome::Idle | ReadOutcome::Closed => return Ok(()),
         };
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        let keep_alive = req.keep_alive;
-
-        if req.path == "/router/status" {
-            let (status, body) = if req.method == "GET" {
-                (200, state.status_json().render().into_bytes())
-            } else {
-                (405, error_body("wrong method for this path"))
-            };
-            write_client_response(
-                &mut writer,
-                status,
-                "application/json",
-                (status == 405).then_some("GET"),
-                &body,
-                keep_alive,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-
-        if req.path == "/admin/upstreams" {
-            let (status, body, allow) = if req.method == "POST" {
-                let (status, body) = admin_upstreams(state, &req.body);
-                (status, body, None)
-            } else {
-                (405, error_body("wrong method for this path"), Some("POST"))
-            };
-            write_client_response(
-                &mut writer,
-                status,
-                "application/json",
-                allow,
-                &body,
-                keep_alive,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-
-        let resp = forward_with_retries(state, &req);
-        match resp {
-            Some(resp) => {
-                write_client_response(
-                    &mut writer,
-                    resp.status,
-                    &resp.content_type,
-                    resp.allow.as_deref(),
-                    &resp.body,
-                    keep_alive,
-                )?;
-            }
-            None => {
-                state.forward_errors.fetch_add(1, Ordering::Relaxed);
-                write_client_response(
-                    &mut writer,
-                    503,
-                    "application/json",
-                    None,
-                    &error_body("no healthy upstream"),
-                    keep_alive,
-                )?;
-            }
-        }
+        let answered_request = outcome == ReadOutcome::Request;
+        let keep_alive = answered_request && req.keep_alive;
+        out.clear();
+        resp.write_into(&mut out, keep_alive);
+        (&stream).write_all(&out)?;
         if !keep_alive {
+            if !answered_request {
+                http::drain_then_close(stream);
+            }
             return Ok(());
         }
+    }
+}
+
+/// Answers one parsed client request: the router's own endpoints, or a
+/// forward to an upstream.
+fn route(state: &RouterState, req: &Request) -> Response {
+    state.requests.fetch_add(1, Ordering::Relaxed);
+    match (req.path.as_str(), req.method.as_str()) {
+        ("/router/status", "GET") => Response::json(200, &state.status_json()),
+        ("/router/status", _) => Response::method_not_allowed("GET"),
+        ("/admin/upstreams", "POST") => admin_upstreams(state, req),
+        ("/admin/upstreams", _) => Response::method_not_allowed("POST"),
+        _ => forward_with_retries(state, req).unwrap_or_else(|| {
+            state.forward_errors.fetch_add(1, Ordering::Relaxed);
+            Response::error(503, "no healthy upstream")
+        }),
     }
 }
 
@@ -742,10 +514,10 @@ fn serve_client(stream: TcpStream, state: &RouterState) -> io::Result<()> {
 /// Body: `{"upstreams": ["host:port", ...]}`. Surviving addresses keep
 /// their health state and connection pools; the swap is atomic and
 /// in-flight requests finish on the topology they started on.
-fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
-    let doc = match Json::parse(&String::from_utf8_lossy(body)) {
+fn admin_upstreams(state: &RouterState, req: &Request) -> Response {
+    let doc = match req.json() {
         Ok(d) => d,
-        Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
+        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
     let addrs: Vec<String> = match doc.get("upstreams").and_then(Json::as_arr) {
         Some(list) => {
@@ -754,16 +526,16 @@ fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
                 match item.as_str() {
                     Some(s) if !s.trim().is_empty() => addrs.push(s.trim().to_string()),
                     _ => {
-                        return (
+                        return Response::error(
                             400,
-                            error_body("'upstreams' entries must be non-empty strings"),
+                            "'upstreams' entries must be non-empty strings",
                         )
                     }
                 }
             }
             addrs
         }
-        None => return (400, error_body("need an 'upstreams' array")),
+        None => return Response::error(400, "need an 'upstreams' array"),
     };
     match state.reload_upstreams(&addrs) {
         Ok(generation) => {
@@ -773,9 +545,9 @@ fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
                 Json::Arr(addrs.iter().map(|a| Json::from(a.as_str())).collect()),
             );
             out.set("generation", generation);
-            (200, out.render().into_bytes())
+            Response::json(200, &out)
         }
-        Err(e) => (400, error_body(&e.to_string())),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
@@ -785,7 +557,7 @@ fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
 /// a concurrent `/admin/upstreams` swap cannot re-route attempt two onto
 /// a node that already saw attempt one, and cannot shrink `tried` under
 /// the loop.
-fn forward_with_retries(state: &RouterState, req: &ProxyRequest) -> Option<ProxyResponse> {
+fn forward_with_retries(state: &RouterState, req: &Request) -> Option<Response> {
     let topo = state.topology();
     let is_write = req.method == "POST" && req.path == "/observe";
     let mut tried = vec![false; topo.upstreams.len()];
@@ -827,22 +599,22 @@ fn forward_with_retries(state: &RouterState, req: &ProxyRequest) -> Option<Proxy
 /// One forward on one upstream, reusing a pooled connection. A stale
 /// pooled connection (closed by the upstream between requests) surfaces
 /// as an error here and the caller retries on a fresh one.
-fn forward_once(u: &Upstream, req: &ProxyRequest, timeout: Duration) -> io::Result<ProxyResponse> {
+fn forward_once(u: &Upstream, req: &Request, timeout: Duration) -> io::Result<Response> {
     let mut conn = u.checkout(timeout)?;
+    let mut wire = Vec::with_capacity(160 + req.body.len());
     write!(
-        conn,
+        wire,
         "{} {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
         req.method,
         req.path,
         u.addr,
         req.body.len()
     )?;
-    conn.write_all(&req.body)?;
-    conn.flush()?;
-    let mut reader = BufReader::new(conn);
-    let resp = read_response(&mut reader)?;
-    if resp.keep_alive {
-        u.checkin(reader.into_inner());
+    wire.extend_from_slice(&req.body);
+    conn.write_all(&wire)?;
+    let (resp, reusable) = http::read_response(&mut conn)?;
+    if reusable {
+        u.checkin(conn);
     }
     Ok(resp)
 }
@@ -851,56 +623,66 @@ fn forward_once(u: &Upstream, req: &ProxyRequest, timeout: Duration) -> io::Resu
 mod tests {
     use super::*;
 
-    /// A minimal in-process upstream speaking just enough HTTP.
-    fn stub_upstream(
-        model_version: u64,
-        role: &'static str,
-    ) -> (String, std::thread::JoinHandle<()>) {
+    /// A minimal in-process upstream on the shared codec: answers
+    /// `/healthz` with the given version and role and echoes everything
+    /// else, counting the echoes. Each connection gets its own thread —
+    /// the router holds pooled keep-alive connections open, and a stub
+    /// serving one connection at a time starves the router's health
+    /// probe, which then ejects a healthy upstream.
+    fn stub_upstream(model_version: u64, role: &'static str) -> (String, Arc<AtomicU64>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
+        let echoed = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&echoed);
+        std::thread::spawn(move || {
             for conn in listener.incoming() {
                 let Ok(stream) = conn else { break };
-                let mut writer = stream.try_clone().unwrap();
-                let mut reader = BufReader::new(stream);
-                while let Ok(Some(req)) = read_request(&mut reader) {
-                    let body = if req.path == "/healthz" {
-                        format!(
-                            "{{\"model_version\": {model_version}, \"cluster_role\": \"{role}\"}}"
-                        )
-                    } else {
-                        format!("{{\"echo\": \"{} {}\"}}", req.method, req.path)
-                    };
-                    let ok = write_client_response(
-                        &mut writer,
-                        200,
-                        "application/json",
-                        None,
-                        body.as_bytes(),
-                        true,
-                    );
-                    if ok.is_err() {
-                        return;
+                let counter = Arc::clone(&counter);
+                std::thread::spawn(move || {
+                    let (mut buf, mut req) = (Vec::new(), Request::default());
+                    while let Ok(ReadOutcome::Request) =
+                        http::read_request(&mut &stream, &mut buf, &mut req, 0)
+                    {
+                        let body = if req.path == "/healthz" {
+                            format!(
+                                "{{\"model_version\": {model_version}, \"cluster_role\": \"{role}\"}}"
+                            )
+                        } else {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            format!("{{\"echo\": \"{} {}\"}}", req.method, req.path)
+                        };
+                        if Response::text(200, body)
+                            .write_to(&mut &stream, true)
+                            .is_err()
+                        {
+                            return;
+                        }
                     }
-                }
+                });
             }
         });
-        (addr, handle)
+        (addr, echoed)
     }
 
-    fn get(addr: &str, path: &str) -> (u16, String) {
+    /// One request on a fresh `Connection: close` connection.
+    fn call(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
         let mut conn = TcpStream::connect(addr).unwrap();
         write!(
             conn,
-            "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            "{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
         )
         .unwrap();
-        let mut reader = BufReader::new(conn);
-        let resp = read_response(&mut reader).unwrap();
-        (
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        )
+        let (resp, _) = http::read_response(&mut conn).unwrap();
+        (resp.status, resp.body_text())
+    }
+
+    fn get(addr: &str, path: &str) -> (u16, String) {
+        call(addr, "GET", path, "")
+    }
+
+    fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
+        call(addr, "POST", path, body)
     }
 
     #[test]
@@ -925,59 +707,6 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"primary\": true"), "{body}");
         assert!(body.contains("\"model_version\": 5"), "{body}");
-    }
-
-    /// A stub upstream that counts every non-healthz request it answers.
-    fn counting_upstream(counter: Arc<AtomicU64>) -> (String, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
-                    while let Ok(Some(req)) = read_request(&mut reader) {
-                        let body = if req.path == "/healthz" {
-                            "{\"model_version\": 1, \"cluster_role\": \"primary\"}".to_string()
-                        } else {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            format!("{{\"echo\": \"{}\"}}", req.path)
-                        };
-                        if write_client_response(
-                            &mut writer,
-                            200,
-                            "application/json",
-                            None,
-                            body.as_bytes(),
-                            true,
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        (addr, handle)
-    }
-
-    fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(
-            conn,
-            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut reader = BufReader::new(conn);
-        let resp = read_response(&mut reader).unwrap();
-        (
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        )
     }
 
     #[test]
@@ -1048,9 +777,8 @@ mod tests {
 
     #[test]
     fn requests_racing_a_topology_swap_are_never_lost_or_double_sent() {
-        let served = Arc::new(AtomicU64::new(0));
-        let (a, _ha) = counting_upstream(Arc::clone(&served));
-        let (b, _hb) = counting_upstream(Arc::clone(&served));
+        let (a, served_a) = stub_upstream(1, "primary");
+        let (b, served_b) = stub_upstream(1, "primary");
         let cfg = RouterConfig {
             upstreams: vec![a.clone()],
             probe_interval: Duration::from_millis(50),
@@ -1092,7 +820,9 @@ mod tests {
                 let sent = Arc::clone(&sent);
                 std::thread::spawn(move || {
                     for i in 0..150 {
-                        let path = format!("/models?t={t}&i={i}");
+                        // Distinct paths (the codec drops query strings)
+                        // tie every answer to its own request.
+                        let path = format!("/models/{t}/{i}");
                         let (status, body) = get(&addr, &path);
                         assert_eq!(status, 200, "{body}");
                         assert!(body.contains(&path), "{body}");
@@ -1112,7 +842,8 @@ mod tests {
         // double-sent: the upstreams saw exactly as many forwards as the
         // clients sent (both upstreams were healthy throughout, so no
         // transport retry can legitimately duplicate).
-        assert_eq!(served.load(Ordering::Relaxed), sent.load(Ordering::Relaxed));
+        let served = served_a.load(Ordering::Relaxed) + served_b.load(Ordering::Relaxed);
+        assert_eq!(served, sent.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -1141,5 +872,72 @@ mod tests {
         }
         let (_, status_body) = get(&addr, "/router/status");
         assert!(status_body.contains("\"admitted\": false"), "{status_body}");
+    }
+
+    /// Writes `raw` on a fresh connection, half-closes, and returns every
+    /// byte the router sends back before it closes.
+    fn exchange_raw(addr: &str, raw: &[u8]) -> String {
+        use std::io::Read as _;
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(raw).unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = Vec::new();
+        conn.read_to_end(&mut reply)
+            .expect("the router must close cleanly, not reset");
+        String::from_utf8_lossy(&reply).into_owned()
+    }
+
+    #[test]
+    fn hostile_input_is_refused_like_a_serve_node_and_never_forwarded() {
+        let (up, forwarded) = stub_upstream(1, "primary");
+        let server = RouterServer::bind(RouterConfig {
+            upstreams: vec![up],
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        std::thread::spawn(move || server.run());
+
+        let mut flood = String::from("GET /healthz HTTP/1.1\r\nHost: probe\r\n");
+        for h in 0..=http::MAX_HEADERS {
+            flood.push_str(&format!("X-Flood-{h}: v\r\n"));
+        }
+        flood.push_str("\r\n");
+        let cases: [(&str, Vec<u8>, u16); 4] = [
+            ("newline-free stream", vec![b'a'; 64 * 1024], 431),
+            (
+                // Only the head is sent: the answer must not wait for a body.
+                "oversized Content-Length",
+                format!(
+                    "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    http::MAX_BODY_BYTES + 1
+                )
+                .into_bytes(),
+                413,
+            ),
+            ("header flood", flood.into_bytes(), 431),
+            (
+                "chunked body",
+                b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                    .to_vec(),
+                400,
+            ),
+        ];
+        for (name, raw, status) in cases {
+            let reply = exchange_raw(&addr, &raw);
+            assert!(
+                reply.starts_with(&format!("HTTP/1.1 {status} ")),
+                "{name}: {reply}"
+            );
+            assert!(reply.contains("Connection: close\r\n"), "{name}: {reply}");
+            assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "{name}: {reply}");
+        }
+        assert_eq!(
+            forwarded.load(Ordering::Relaxed),
+            0,
+            "no refused request may reach an upstream"
+        );
     }
 }

@@ -37,6 +37,7 @@
 //! store) capture the active plan at construction instead of re-reading
 //! the global on every call.
 
+use crate::hash::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
@@ -144,15 +145,6 @@ pub struct FaultPlan {
     sites: [Option<SiteSpec>; SITES.len()],
     seed: u64,
     draws: [AtomicU64; SITES.len()],
-}
-
-/// SplitMix64 — the same mixer the bench sweep seeds use; kept local so
-/// `perfpred-core` stays dependency-free.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn parse_duration(raw: &str, entry: &str) -> Result<Duration, String> {

@@ -26,6 +26,8 @@ pub mod faults;
 pub mod fit;
 pub mod frame;
 pub mod fsutil;
+pub mod hash;
+pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod model;

@@ -751,6 +751,10 @@ mod tests {
 
     #[test]
     fn snapshot_and_reset_roundtrip() {
+        // Scoped: a reset of the process-wide registry would zero the
+        // metrics of tests running alongside this one.
+        let scope = Scope::new();
+        let _g = scope.enter();
         counter("test.snap.counter").add(7);
         histogram("test.snap.hist").record(3.5);
         let snap = snapshot();

@@ -1,13 +1,13 @@
 //! Per-connection state machine for the event-driven serving core.
 //!
 //! Each reactor connection moves through
-//! `ReadHead → ReadBody → Dispatch → Write → Drain`, parsing requests
-//! *incrementally* out of a pooled read buffer: the nonblocking socket
-//! delivers bytes in arbitrary chunks, so [`parse_head`] is re-run over
-//! the accumulated buffer until a full head (then body) is present,
-//! producing exactly the outcomes `http::read_request` produces on the
-//! blocking core — same 413/431 limits, same malformed-framing closes —
-//! so the two cores answer byte-identically.
+//! `ReadHead → ReadBody → Dispatch → Write → Drain` over a nonblocking
+//! socket that delivers bytes in arbitrary chunks. Framing is the shared
+//! codec's: [`parse_head`] (from `perfpred_core::http`, re-exported here)
+//! is re-run over the accumulated read buffer until a whole head, then
+//! the body, is present. The threaded core's blocking reader runs the
+//! same parser, so both cores apply the same 413/431 limits and the same
+//! malformed-framing closes, and answer byte-identically.
 //!
 //! Nothing here allocates on the steady-state path: requests parse into
 //! a reused [`Request`] scratch (strings cleared, capacity kept),
@@ -16,7 +16,8 @@
 //! [`BufPool`] while the connection idles between keep-alive requests —
 //! ten thousand parked connections hold sockets, not buffers.
 
-use crate::http::{Request, MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_BYTES};
+pub use perfpred_core::http::{parse_head, HeadInfo, HeadOutcome, DRAIN_BUDGET_BYTES};
+use perfpred_core::http::{Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -32,171 +33,6 @@ const READ_CAP: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES + READ_CHUNK;
 const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 /// Initial capacity for pooled buffers (a typical head + JSON response).
 const INITIAL_CAPACITY: usize = 4 * 1024;
-/// Bound on bytes drained from a connection being closed with an error
-/// response — same budget as the blocking core's `drain_then_close`.
-pub const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
-
-/// A parsed head's framing facts, carried from `ReadHead` to `ReadBody`.
-#[derive(Debug, Clone, Copy)]
-pub struct HeadInfo {
-    /// Bytes of request line + headers + terminating empty line.
-    pub head_len: usize,
-    /// Advertised `Content-Length` (0 when absent).
-    pub content_length: usize,
-}
-
-impl HeadInfo {
-    /// Total framed size of the request: head plus body.
-    pub fn total_len(&self) -> usize {
-        self.head_len + self.content_length
-    }
-}
-
-/// What one incremental head-parse attempt produced.
-#[derive(Debug)]
-pub enum HeadOutcome {
-    /// Head complete: method/path/keep-alive are parsed into the scratch
-    /// request; the body (if any) still needs `content_length` bytes.
-    Complete(HeadInfo),
-    /// Not enough bytes yet; keep reading.
-    Partial,
-    /// Malformed or unsupported framing; close without answering (the
-    /// blocking core's `ReadOutcome::Closed`).
-    Malformed,
-    /// A size limit tripped but framing was intact enough to answer:
-    /// write this error (`Connection: close`), then drain and close.
-    Reject {
-        /// 413 (body too large) or 431 (head too large / too many headers).
-        status: u16,
-        /// Human-readable reason for the error envelope.
-        message: &'static str,
-    },
-}
-
-/// One complete line (through `\n`) starting at `*pos`, or `None`.
-fn next_line<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let rest = &buf[*pos..];
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    *pos += nl + 1;
-    Some(&rest[..=nl])
-}
-
-/// Incrementally parses an HTTP/1.1 request head out of `buf`, writing
-/// method, path and keep-alive into the reused `req` scratch (body is
-/// left alone — the caller copies it once `content_length` bytes are
-/// buffered). Re-run from scratch whenever more bytes arrive; heads are
-/// capped at 8 KiB so the rescan stays trivially cheap.
-///
-/// Limit and malformed-framing behaviour mirrors `http::read_request`
-/// outcome-for-outcome; `tests/reactor.rs` holds the two byte-identical.
-pub fn parse_head(buf: &[u8], req: &mut Request) -> HeadOutcome {
-    let mut pos = 0usize;
-
-    // Request line.
-    let Some(line) = next_line(buf, &mut pos) else {
-        return if buf.len() > MAX_HEAD_BYTES {
-            HeadOutcome::Reject {
-                status: 431,
-                message: "request line too long",
-            }
-        } else {
-            HeadOutcome::Partial
-        };
-    };
-    if line.len() > MAX_HEAD_BYTES {
-        return HeadOutcome::Reject {
-            status: 431,
-            message: "request line too long",
-        };
-    }
-    let text = String::from_utf8_lossy(line);
-    let text = text.trim_end();
-    let mut parts = text.split_whitespace();
-    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return HeadOutcome::Malformed;
-    };
-    if !version.starts_with("HTTP/1.") {
-        return HeadOutcome::Malformed;
-    }
-    req.method.clear();
-    req.method.push_str(method);
-    req.method.make_ascii_uppercase();
-    req.path.clear();
-    req.path
-        .push_str(target.split('?').next().unwrap_or(target));
-    req.keep_alive = true; // HTTP/1.1 default
-
-    // Headers.
-    let mut content_length = 0usize;
-    let mut head_bytes = line.len();
-    let mut headers = 0usize;
-    loop {
-        let Some(hline) = next_line(buf, &mut pos) else {
-            // An unterminated header line past the whole head budget can
-            // never become legal; answer now instead of buffering on.
-            return if buf.len() - pos > MAX_HEAD_BYTES {
-                HeadOutcome::Reject {
-                    status: 431,
-                    message: "header line too long",
-                }
-            } else {
-                HeadOutcome::Partial
-            };
-        };
-        if hline.len() > MAX_HEAD_BYTES {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "header line too long",
-            };
-        }
-        head_bytes += hline.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "request head exceeds 8 KiB",
-            };
-        }
-        let text = String::from_utf8_lossy(hline);
-        let text = text.trim_end();
-        if text.is_empty() {
-            break;
-        }
-        headers += 1;
-        if headers > MAX_HEADERS {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "too many header fields",
-            };
-        }
-        let Some((name, value)) = text.split_once(':') else {
-            return HeadOutcome::Malformed;
-        };
-        let name = name.trim();
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<u64>() {
-                Ok(n) if n as usize <= MAX_BODY_BYTES => content_length = n as usize,
-                Ok(_) => {
-                    return HeadOutcome::Reject {
-                        status: 413,
-                        message: "request body exceeds 1 MiB",
-                    }
-                }
-                Err(_) => return HeadOutcome::Malformed,
-            }
-        } else if name.eq_ignore_ascii_case("connection") {
-            req.keep_alive = !value.eq_ignore_ascii_case("close");
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return HeadOutcome::Malformed; // unsupported
-        }
-    }
-
-    HeadOutcome::Complete(HeadInfo {
-        head_len: pos,
-        content_length,
-    })
-}
 
 /// The buffers and scratch one active connection borrows from the pool.
 #[derive(Debug, Default)]
@@ -577,158 +413,6 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch() -> Request {
-        Request {
-            method: String::new(),
-            path: String::new(),
-            body: Vec::new(),
-            keep_alive: true,
-        }
-    }
-
-    /// Parses a full request (head + body) in one shot, the way the
-    /// reactor does across its ReadHead/ReadBody states.
-    fn parse_full(buf: &[u8], req: &mut Request) -> Result<Option<usize>, HeadOutcome> {
-        match parse_head(buf, req) {
-            HeadOutcome::Complete(info) => {
-                if buf.len() < info.total_len() {
-                    return Ok(None);
-                }
-                req.body.clear();
-                req.body
-                    .extend_from_slice(&buf[info.head_len..info.total_len()]);
-                Ok(Some(info.total_len()))
-            }
-            HeadOutcome::Partial => Ok(None),
-            other => Err(other),
-        }
-    }
-
-    #[test]
-    fn parses_incrementally_at_every_split_point() {
-        let raw = b"POST /predict?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 9\r\n\r\n{\"n\": 42}";
-        let mut req = scratch();
-        for split in 0..raw.len() {
-            assert!(
-                parse_full(&raw[..split], &mut req).unwrap().is_none(),
-                "prefix of {split} bytes must be Partial"
-            );
-        }
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/predict");
-        assert_eq!(req.body, b"{\"n\": 42}");
-        assert!(req.keep_alive);
-    }
-
-    #[test]
-    fn scratch_reuse_resets_every_field() {
-        let mut req = scratch();
-        let a = b"POST /long-path HTTP/1.1\r\nConnection: close\r\nContent-Length: 3\r\n\r\nabc";
-        parse_full(a, &mut req).unwrap().unwrap();
-        assert!(!req.keep_alive);
-        // A shorter request next: no stale suffix may survive.
-        let b = b"GET /b HTTP/1.1\r\n\r\n";
-        let consumed = parse_full(b, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, b.len());
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/b");
-        assert!(req.body.is_empty());
-        assert!(req.keep_alive, "keep-alive must reset to the 1.1 default");
-    }
-
-    #[test]
-    fn limits_match_the_blocking_parser() {
-        let mut req = scratch();
-        // Oversized Content-Length: 413 from the head alone.
-        let big = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert!(matches!(
-            parse_head(big.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 413, .. }
-        ));
-        // Unparseable Content-Length is malformed framing, not a reject.
-        assert!(matches!(
-            parse_head(
-                b"POST / HTTP/1.1\r\nContent-Length: umpteen\r\n\r\n",
-                &mut req
-            ),
-            HeadOutcome::Malformed
-        ));
-        // Chunked transfer unsupported.
-        assert!(matches!(
-            parse_head(
-                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                &mut req
-            ),
-            HeadOutcome::Malformed
-        ));
-        // Too many header fields.
-        let mut raw = String::from("GET / HTTP/1.1\r\n");
-        for i in 0..(MAX_HEADERS + 1) {
-            raw.push_str(&format!("X-H{i}: v\r\n"));
-        }
-        raw.push_str("\r\n");
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Cumulative head size cap.
-        let mut raw = String::from("GET / HTTP/1.1\r\n");
-        for i in 0..40 {
-            raw.push_str(&format!("X-Pad{i}: {}\r\n", "p".repeat(250)));
-        }
-        raw.push_str("\r\n");
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Oversized request line — even before its newline ever arrives.
-        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        let unterminated = vec![b'a'; MAX_HEAD_BYTES + 1];
-        assert!(matches!(
-            parse_head(&unterminated, &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Bad version / garbage.
-        assert!(matches!(
-            parse_head(b"GET / SPDY/9\r\n\r\n", &mut req),
-            HeadOutcome::Malformed
-        ));
-        assert!(matches!(
-            parse_head(b"garbage\r\n\r\n", &mut req),
-            HeadOutcome::Malformed
-        ));
-    }
-
-    #[test]
-    fn pipelined_requests_consume_exactly_one_frame() {
-        let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut req = scratch();
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(req.path, "/a");
-        let rest = &raw[consumed..];
-        let consumed = parse_full(rest, &mut req).unwrap().unwrap();
-        assert_eq!(req.path, "/b");
-        assert_eq!(consumed, rest.len());
-    }
-
-    #[test]
-    fn bare_lf_lines_parse_like_the_blocking_core() {
-        let mut req = scratch();
-        let raw = b"GET /lf HTTP/1.1\nHost: h\n\n";
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(req.path, "/lf");
-    }
 
     #[test]
     fn pool_recycles_and_sheds_outsized_buffers() {

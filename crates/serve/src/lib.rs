@@ -8,8 +8,9 @@
 //! manager must consume predictions *online* — turned into a long-running
 //! service instead of a batch sweep.
 //!
-//! The daemon is a std-only, multi-threaded TCP server speaking a
-//! hand-rolled subset of HTTP/1.1 (the workspace stays dependency-free).
+//! The daemon is a std-only TCP server speaking the subset of HTTP/1.1
+//! implemented once, for the whole workspace, in [`perfpred_core::http`]
+//! (re-exported here as [`http`]).
 //! It hosts the layered queuing, hybrid and (when calibrated) historical
 //! predictors behind [`perfpred_core::PredictionCache`] and answers:
 //!
@@ -33,18 +34,27 @@
 //! ## Serving stack
 //!
 //! ```text
-//!          accept loop (bounded queue, overload ⇒ 503)
-//!               │
-//!     ┌─────────┼─────────┐
-//!  worker    worker     worker      HTTP parse + route + admission
-//!     │         │          │
-//!     │   cache hit? ──────┼──────▶ answer in-line (µs path)
-//!     │         │          │
-//!     └──── miss: enqueue ─┘
-//!               │
-//!          solver pool (micro-batching, per-worker AmvaWorkspace
-//!          warm starts, results memoized into the shared cache)
+//!   listener ── accept (overload ⇒ 503)
+//!      │
+//!   ┌──┴──────────┬─────────────┐
+//! shard 0       shard 1       shard N    epoll loops (`reactor`), each
+//!   │             │             │        connection a `conn::Conn`:
+//!   │  core::http::parse_head over the pooled read buffer
+//!   │  inline fast path: GET endpoints, cache-hit /predict
+//!   │             │             │
+//!   └── offload ──┴── offload ──┘        /observe, /plan, solver-bound
+//!             │                          /predict
+//!      dispatcher pool ── App::handle_at
+//!             │
+//!       solver pool (micro-batching, per-worker AmvaWorkspace warm
+//!       starts, results memoized into the shared cache)
 //! ```
+//!
+//! `--reactor-shards 0`, and every non-Linux build, serve through the
+//! threaded core ([`server`]) instead: a bounded accept queue feeding
+//! worker threads that read with `core::http::read_request` — the same
+//! parser over a blocking socket — and call the same [`router::App`].
+//! `tests/reactor.rs` holds the two cores byte-identical.
 //!
 //! Admission control mirrors [`perfpred_resman::runtime`]: a predict
 //! request whose predicted response time lands within
@@ -57,13 +67,14 @@ pub mod arrivals;
 pub mod batch;
 pub mod config;
 pub mod conn;
-pub mod http;
 pub mod models;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod router;
 pub mod server;
 pub mod shutdown;
+
+pub use perfpred_core::http;
 
 pub use admission::{AdmissionController, Verdict};
 pub use arrivals::{ArrivalMeter, ArrivalRates};

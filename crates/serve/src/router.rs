@@ -1205,13 +1205,13 @@ mod tests {
         let app = app();
         let r = app.handle(&request("DELETE", "/predict", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("POST"));
+        assert_eq!(r.allow.as_deref(), Some("POST"));
         let r = app.handle(&request("POST", "/healthz", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("GET"));
+        assert_eq!(r.allow.as_deref(), Some("GET"));
         let r = app.handle(&request("PUT", "/cluster", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("GET"));
+        assert_eq!(r.allow.as_deref(), Some("GET"));
         // Unknown paths stay 404 with no Allow.
         let r = app.handle(&request("DELETE", "/nope", ""));
         assert_eq!((r.status, r.allow), (404, None));
@@ -1535,7 +1535,7 @@ mod tests {
 
         // Wrong method answers 405 with Allow.
         let r = app.handle(&request("GET", "/admin/threshold", ""));
-        assert_eq!((r.status, r.allow), (405, Some("POST")));
+        assert_eq!((r.status, r.allow.as_deref()), (405, Some("POST")));
         drain(&app);
     }
 

@@ -2,13 +2,13 @@
 //! pool, and the graceful-drain ordering between them.
 
 use crate::batch::solver_loop;
-use crate::http::{read_request, ReadOutcome, Response};
+use crate::http::{drain_then_close, read_request, ReadOutcome, Request, Response};
 use crate::router::App;
 use crate::shutdown::Shutdown;
 use perfpred_core::faults::{self, FaultSite};
 use perfpred_core::metrics;
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Read as _};
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -16,6 +16,10 @@ use std::time::Duration;
 /// Socket read timeout: the cadence at which idle keep-alive connections
 /// re-check the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// How many consecutive read timeouts mid-request before the connection
+/// is abandoned: with [`READ_TIMEOUT`] this is a multi-second stall
+/// budget for slow clients.
+const MAX_MID_REQUEST_STALLS: usize = 100;
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
@@ -193,11 +197,6 @@ impl Server {
     }
 }
 
-/// Upper bound on bytes drained from a connection we are closing with an
-/// error response. Enough for any in-flight request head plus a capped
-/// body; past this the peer is hostile and an RST is acceptable.
-const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
-
 /// Best-effort 503 for connections shed at the accept queue.
 ///
 /// The response is written *first*, then the unread request bytes are
@@ -205,9 +204,7 @@ const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
 /// makes the kernel send an RST, which on many stacks discards the
 /// just-queued response — the pre-fix behaviour meant a client midway
 /// through POSTing a body saw a connection reset instead of the 503.
-fn reject_overloaded(stream: TcpStream) {
-    use std::io::Write as _;
-    let mut stream = stream;
+fn reject_overloaded(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     let mut scratch = Vec::with_capacity(256);
     Response::error(503, "server is overloaded, retry later").write_into(&mut scratch, false);
@@ -215,27 +212,6 @@ fn reject_overloaded(stream: TcpStream) {
         return;
     }
     drain_then_close(stream);
-}
-
-/// Signals end-of-response, then reads (and discards) whatever the peer
-/// is still sending, bounded by [`DRAIN_BUDGET_BYTES`] and the socket
-/// read timeout, so the close is a FIN rather than an RST.
-fn drain_then_close(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut sink = [0u8; 4096];
-    let mut drained = 0usize;
-    while drained < DRAIN_BUDGET_BYTES {
-        match stream.read(&mut sink) {
-            Ok(0) => return, // peer saw our FIN and finished
-            Ok(n) => drained += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Timeout or hard error: the peer went quiet without closing;
-            // we have given it a fair window to read the response.
-            Err(_) => return,
-        }
-    }
 }
 
 /// One connection worker: pull a connection, serve its keep-alive request
@@ -265,26 +241,22 @@ fn serve_connection(app: &App, stream: TcpStream, shutdown: &Shutdown) {
     {
         return;
     }
-    use std::io::Write as _;
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // One scratch buffer serializes every response on this connection —
-    // status line, headers and body become a single write instead of
-    // per-request `write!` formatting straight into the socket.
+    // The connection's own read buffer (pipelined successors wait in it),
+    // the reused parse target, and one scratch buffer that serializes
+    // every response — status line, headers and body in a single write.
+    let mut buf = Vec::new();
+    let mut req = Request::default();
     let mut scratch: Vec<u8> = Vec::with_capacity(1024);
     loop {
-        match read_request(&mut reader) {
-            Ok(ReadOutcome::Request(req)) => {
+        match read_request(&mut &stream, &mut buf, &mut req, MAX_MID_REQUEST_STALLS) {
+            Ok(ReadOutcome::Request) => {
                 let response = app.handle(&req);
                 // An idle daemon drains instantly; one that is answering
                 // closes each connection after the in-flight response.
                 let keep = req.keep_alive && !shutdown.requested();
                 scratch.clear();
                 response.write_into(&mut scratch, keep);
-                if writer.write_all(&scratch).is_err() || !keep {
+                if (&stream).write_all(&scratch).is_err() || !keep {
                     return;
                 }
             }
@@ -301,12 +273,12 @@ fn serve_connection(app: &App, stream: TcpStream, shutdown: &Shutdown) {
                 metrics::counter("serve.rejected_requests").incr();
                 scratch.clear();
                 Response::error(status, message).write_into(&mut scratch, false);
-                if writer.write_all(&scratch).is_ok() {
-                    drain_then_close(reader.into_inner());
+                if (&stream).write_all(&scratch).is_ok() {
+                    drain_then_close(stream);
                 }
                 return;
             }
-            Ok(ReadOutcome::Closed) | Err(_) => return,
+            Ok(ReadOutcome::Closed | ReadOutcome::Malformed) | Err(_) => return,
         }
     }
 }
@@ -319,7 +291,7 @@ mod tests {
     use crate::models::ModelHost;
     use perfpred_core::CacheOptions;
     use perfpred_resman::RuntimeOptions;
-    use std::io::Write as _;
+    use std::io::Read as _;
 
     fn start() -> (SocketAddr, Arc<Shutdown>, std::thread::JoinHandle<()>) {
         let app = App::new(
