@@ -865,9 +865,9 @@ fn chaos_probe(addr: &str, stop: &AtomicBool) -> ProbeReport {
             Ok(mut stream) => {
                 report.sent += 1;
                 let _ = stream.set_nodelay(true);
-                // Short timeout: under full load the closed-loop clients
-                // hold every connection worker, so a probe can sit in the
-                // accept queue a while — recycle instead of waiting.
+                // Short timeout: under full load a probe can queue behind
+                // the closed-loop clients' requests a while — recycle
+                // instead of waiting.
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
                 if stream.write_all(probe.as_bytes()).is_ok() {
                     // Half-close so the server's post-reject drain sees

@@ -21,7 +21,9 @@
 //! Connections are pooled keep-alive on both sides: the client loop
 //! serves many requests per accepted connection, and each upstream keeps
 //! a small stack of idle connections that forwarding checks out and
-//! returns.
+//! returns. Each client connection holds one thread, so at most
+//! [`MAX_CLIENT_CONNS`] are served at once; the accept loop answers the
+//! next one 503 and closes it.
 
 use crate::ring::Ring;
 use perfpred_core::http::{self, ReadOutcome, Request, Response};
@@ -96,6 +98,11 @@ struct Upstream {
 }
 
 const POOL_IDLE_MAX: usize = 8;
+/// Most client connections (and so connection threads) served at once.
+/// An idle keep-alive client holds its thread for the 30 s read timeout,
+/// and a trickling one indefinitely, so without a cap client count alone
+/// would grow the router's thread count without bound.
+pub const MAX_CLIENT_CONNS: usize = 1024;
 const BACKOFF_BASE: Duration = Duration::from_millis(500);
 const BACKOFF_CAP: Duration = Duration::from_secs(15);
 
@@ -228,6 +235,8 @@ pub struct RouterState {
     requests: AtomicU64,
     forward_errors: AtomicU64,
     topology_swaps: AtomicU64,
+    /// Live client connections, each holding a [`ClientSlot`].
+    clients: AtomicUsize,
 }
 
 impl RouterState {
@@ -247,6 +256,7 @@ impl RouterState {
             requests: AtomicU64::new(0),
             forward_errors: AtomicU64::new(0),
             topology_swaps: AtomicU64::new(0),
+            clients: AtomicUsize::new(0),
         })
     }
 
@@ -311,6 +321,7 @@ impl RouterState {
             "topology_swaps",
             self.topology_swaps.load(Ordering::Relaxed),
         );
+        m.set("client_conns", self.clients.load(Ordering::Relaxed));
         let admitted = topo.admitted(self.cfg.max_version_lag);
         let mut list = Vec::new();
         for (i, u) in topo.upstreams.iter().enumerate() {
@@ -369,18 +380,56 @@ impl RouterServer {
         self.addr
     }
 
-    /// Serves forever (thread per client connection, keep-alive).
+    /// Serves forever: a thread per client connection, keep-alive, at
+    /// most [`MAX_CLIENT_CONNS`] at once.
     pub fn run(&self) -> io::Result<()> {
         for conn in self.listener.incoming() {
             let Ok(stream) = conn else { continue };
-            let state = Arc::clone(&self.state);
+            let Some(slot) = ClientSlot::claim(&self.state) else {
+                metrics::counter("router.accept_overflow").incr();
+                shed(stream);
+                continue;
+            };
+            // A failed spawn drops the closure, and the slot with it.
             let _ = std::thread::Builder::new()
                 .name("router-conn".into())
                 .spawn(move || {
-                    let _ = serve_client(stream, &state);
+                    let _ = serve_client(stream, &slot.0);
                 });
         }
         Ok(())
+    }
+}
+
+/// One claimed client-connection slot; dropping it frees the slot, so a
+/// connection thread that panics still gives its slot back.
+struct ClientSlot(Arc<RouterState>);
+
+impl ClientSlot {
+    /// `None` once [`MAX_CLIENT_CONNS`] slots are held. Only the accept
+    /// loop claims, so the check and the increment cannot interleave.
+    fn claim(state: &Arc<RouterState>) -> Option<ClientSlot> {
+        if state.clients.fetch_add(1, Ordering::Relaxed) >= MAX_CLIENT_CONNS {
+            state.clients.fetch_sub(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(ClientSlot(Arc::clone(state)))
+    }
+}
+
+impl Drop for ClientSlot {
+    fn drop(&mut self) {
+        self.0.clients.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Answers a connection over the cap 503 with `Connection: close`, then
+/// drains it so the client reads the 503 through a FIN, not a reset.
+fn shed(stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let resp = Response::error(503, "router is overloaded, retry later");
+    if resp.write_to(&mut &stream, false).is_ok() {
+        http::drain_then_close(stream);
     }
 }
 
@@ -473,7 +522,7 @@ fn serve_client(stream: TcpStream, state: &RouterState) -> io::Result<()> {
     let mut req = Request::default();
     let mut out = Vec::new();
     loop {
-        let outcome = http::read_request(&mut &stream, &mut buf, &mut req, 0)?;
+        let outcome = http::read_request(&mut &stream, &mut buf, &mut req)?;
         let resp = match outcome {
             ReadOutcome::Request => route(state, &req),
             ReadOutcome::Reject { status, message } => Response::error(status, message),
@@ -641,7 +690,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let (mut buf, mut req) = (Vec::new(), Request::default());
                     while let Ok(ReadOutcome::Request) =
-                        http::read_request(&mut &stream, &mut buf, &mut req, 0)
+                        http::read_request(&mut &stream, &mut buf, &mut req)
                     {
                         let body = if req.path == "/healthz" {
                             format!(
@@ -887,6 +936,73 @@ mod tests {
         conn.read_to_end(&mut reply)
             .expect("the router must close cleanly, not reset");
         String::from_utf8_lossy(&reply).into_owned()
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_a_503_and_a_clean_close() {
+        use std::io::Read as _;
+        let (up, _forwarded) = stub_upstream(1, "primary");
+        let server = RouterServer::bind(RouterConfig {
+            upstreams: vec![up],
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        std::thread::spawn(move || server.run());
+
+        // Idle keep-alive clients fill every slot. The accept loop takes
+        // connections in arrival order, so once a connection is answered,
+        // every one opened before it holds a slot. One request per batch
+        // keeps the listen backlog from overflowing into SYN retries.
+        let mut held: Vec<TcpStream> = Vec::with_capacity(MAX_CLIENT_CONNS);
+        for _ in 0..MAX_CLIENT_CONNS / 64 {
+            held.extend((0..64).map(|_| TcpStream::connect(&addr).unwrap()));
+            let last = held.last_mut().unwrap();
+            last.write_all(b"GET /router/status HTTP/1.1\r\nHost: x\r\n\r\n")
+                .unwrap();
+            assert_eq!(http::read_response(last).unwrap().0.status, 200);
+        }
+        assert_eq!(held.len(), MAX_CLIENT_CONNS);
+
+        let mut over = TcpStream::connect(&addr).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = Vec::new();
+        over.read_to_end(&mut reply)
+            .expect("the connection past the cap must be answered and closed, not left waiting");
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+        assert!(reply.contains("Connection: close\r\n"), "{reply}");
+        assert!(reply.contains("router is overloaded"), "{reply}");
+
+        // A held connection still serves.
+        let conn = &mut held[0];
+        conn.write_all(b"GET /router/status HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let (resp, _) = http::read_response(conn).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(
+            resp.body_text()
+                .contains(&format!("\"client_conns\": {MAX_CLIENT_CONNS}")),
+            "{}",
+            resp.body_text()
+        );
+
+        // Closing held connections frees their slots for new clients.
+        held.truncate(MAX_CLIENT_CONNS - 8);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (status, body) = get(&addr, "/router/status");
+            if status == 200 {
+                break;
+            }
+            assert_eq!(status, 503, "{body}");
+            assert!(
+                Instant::now() < deadline,
+                "closed connections never freed their slots"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one HTTP/1.1 codec.
 //!
-//! Every server and client in perfpred frames its traffic here: both
-//! serving cores of `perfpred-serve`, both sides of `perfpred-router`,
+//! Every server and client in perfpred frames its traffic here:
+//! `perfpred-serve`'s reactor, both sides of `perfpred-router`,
 //! the control plane's client and the load generator. The subset is what
 //! the daemons speak — a request or status line, headers,
 //! `Content-Length` bodies and keep-alive — and everything else is
@@ -24,7 +24,7 @@ use crate::Json;
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on request line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -44,6 +44,9 @@ pub const MAX_RESPONSE_BODY_BYTES: usize = 16 * 1024 * 1024;
 pub const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
 /// How long one drain read waits for the peer before giving up.
 const DRAIN_READ_TIMEOUT: Duration = Duration::from_millis(100);
+/// How long a whole drain may take: a peer trickling bytes just inside
+/// [`DRAIN_READ_TIMEOUT`] cannot hold the draining thread longer.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 /// Bytes the blocking readers take from the socket per `read` call.
 const READ_CHUNK: usize = 8 * 1024;
 
@@ -399,7 +402,7 @@ pub enum ReadOutcome {
     /// A read timed out with nothing buffered: the connection is quiet,
     /// not broken. Poll whatever the caller polls and read again.
     Idle,
-    /// The peer closed, or stalled mid-message past the caller's budget.
+    /// The peer closed, or a read timed out mid-message.
     Closed,
     /// Framing the parser refuses (see [`HeadOutcome::Malformed`]).
     Malformed,
@@ -423,18 +426,16 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Reads from `r` into `buf` until `parse` reports a complete head and the
 /// body behind it is buffered too. Bytes already in `buf` (a pipelined
 /// successor) are parsed before anything is read. A read timeout with
-/// `buf` empty is [`ReadOutcome::Idle`]; once bytes are pending, more than
-/// `max_stalls` consecutive timeouts give up with [`ReadOutcome::Closed`].
-/// The parser's caps bound `buf` to one head plus one body plus one chunk.
+/// `buf` empty is [`ReadOutcome::Idle`]; once bytes are pending, a timeout
+/// gives up with [`ReadOutcome::Closed`]. The parser's caps bound `buf`
+/// to one head plus one body plus one chunk.
 fn fill<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
-    max_stalls: usize,
     mut parse: impl FnMut(&[u8]) -> HeadOutcome,
 ) -> io::Result<Result<HeadInfo, ReadOutcome>> {
     let mut chunk = [0u8; READ_CHUNK];
     let mut head = None;
-    let mut stalls = 0usize;
     loop {
         if head.is_none() && !buf.is_empty() {
             match parse(buf) {
@@ -453,19 +454,15 @@ fn fill<R: Read>(
         }
         match r.read(&mut chunk) {
             Ok(0) => return Ok(Err(ReadOutcome::Closed)),
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                stalls = 0;
-            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
-                if buf.is_empty() {
-                    return Ok(Err(ReadOutcome::Idle));
-                }
-                stalls += 1;
-                if stalls > max_stalls {
-                    return Ok(Err(ReadOutcome::Closed));
-                }
+                let outcome = if buf.is_empty() {
+                    ReadOutcome::Idle
+                } else {
+                    ReadOutcome::Closed
+                };
+                return Ok(Err(outcome));
             }
             Err(e) => return Err(e),
         }
@@ -474,17 +471,17 @@ fn fill<R: Read>(
 
 /// Reads the next request off a blocking connection into the `req`
 /// scratch. `buf` is the connection's own buffer: bytes of a pipelined
-/// successor stay in it for the next call. `max_stalls` is how many
-/// consecutive read timeouts a half-received request may take.
+/// successor stay in it for the next call. The socket's read timeout is
+/// the stall budget: a timeout between requests is [`ReadOutcome::Idle`],
+/// one mid-request is [`ReadOutcome::Closed`].
 ///
 /// `Err` is only returned for hard I/O errors.
 pub fn read_request<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
     req: &mut Request,
-    max_stalls: usize,
 ) -> io::Result<ReadOutcome> {
-    let info = match fill(r, buf, max_stalls, |b| parse_head(b, req))? {
+    let info = match fill(r, buf, |b| parse_head(b, req))? {
         Ok(info) => info,
         Err(outcome) => return Ok(outcome),
     };
@@ -508,7 +505,7 @@ pub fn read_response<R: Read>(r: &mut R) -> io::Result<(Response, bool)> {
         body: Vec::new(),
     };
     let mut buf = Vec::new();
-    let info = match fill(r, &mut buf, 0, |b| parse_response_head(b, &mut resp))? {
+    let info = match fill(r, &mut buf, |b| parse_response_head(b, &mut resp))? {
         Ok(info) => info,
         Err(ReadOutcome::Idle) => {
             return Err(io::Error::new(
@@ -532,15 +529,16 @@ pub fn read_response<R: Read>(r: &mut R) -> io::Result<(Response, bool)> {
 
 /// Closes a connection whose error response has just been written:
 /// signals end-of-response, then reads and discards what the peer is still
-/// sending — at most [`DRAIN_BUDGET_BYTES`], each read bounded by a short
-/// timeout — so the close is a FIN the peer can read the response
-/// through, not an RST that destroys it.
+/// sending — at most [`DRAIN_BUDGET_BYTES`] within [`DRAIN_DEADLINE`],
+/// each read bounded by a short timeout — so the close is a FIN the peer
+/// can read the response through, not an RST that destroys it.
 pub fn drain_then_close(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(DRAIN_READ_TIMEOUT));
+    let deadline = Instant::now() + DRAIN_DEADLINE;
     let mut sink = [0u8; 4096];
     let mut drained = 0usize;
-    while drained < DRAIN_BUDGET_BYTES {
+    while drained < DRAIN_BUDGET_BYTES && Instant::now() < deadline {
         match stream.read(&mut sink) {
             Ok(0) => return, // peer saw the FIN and finished
             Ok(n) => drained += n,
@@ -559,7 +557,7 @@ mod tests {
     /// Runs the blocking reader over an in-memory byte stream.
     fn read(raw: &[u8]) -> (ReadOutcome, Request) {
         let mut req = Request::default();
-        let outcome = read_request(&mut &raw[..], &mut Vec::new(), &mut req, 0).unwrap();
+        let outcome = read_request(&mut &raw[..], &mut Vec::new(), &mut req).unwrap();
         (outcome, req)
     }
 
@@ -701,12 +699,12 @@ mod tests {
         let mut buf =
             b"POST /long-path HTTP/1.1\r\nConnection: close\r\nContent-Length: 3\r\n\r\nabc"
                 .to_vec();
-        let outcome = read_request(&mut &b""[..], &mut buf, &mut req, 0).unwrap();
+        let outcome = read_request(&mut &b""[..], &mut buf, &mut req).unwrap();
         assert_eq!(outcome, ReadOutcome::Request);
         assert!(!req.keep_alive);
         // A shorter request next: no stale suffix may survive.
         buf.extend_from_slice(b"GET /b HTTP/1.1\r\n\r\n");
-        let outcome = read_request(&mut &b""[..], &mut buf, &mut req, 0).unwrap();
+        let outcome = read_request(&mut &b""[..], &mut buf, &mut req).unwrap();
         assert_eq!(outcome, ReadOutcome::Request);
         assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/b"));
         assert!(req.body.is_empty());
@@ -720,7 +718,7 @@ mod tests {
             b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /c";
         let (mut buf, mut req) = (Vec::new(), Request::default());
         let mut paths = Vec::new();
-        while read_request(&mut raw, &mut buf, &mut req, 0).unwrap() == ReadOutcome::Request {
+        while read_request(&mut raw, &mut buf, &mut req).unwrap() == ReadOutcome::Request {
             paths.push(req.path.clone());
         }
         assert_eq!(paths, ["/a", "/b"]);
@@ -747,9 +745,9 @@ mod tests {
     fn timeouts_idle_between_requests_and_give_up_mid_request() {
         let mut req = Request::default();
         let mut buf = Vec::new();
-        let outcome = read_request(&mut Stalling(b""), &mut buf, &mut req, 3).unwrap();
+        let outcome = read_request(&mut Stalling(b""), &mut buf, &mut req).unwrap();
         assert_eq!(outcome, ReadOutcome::Idle);
-        let outcome = read_request(&mut Stalling(b"GET / HT"), &mut buf, &mut req, 3).unwrap();
+        let outcome = read_request(&mut Stalling(b"GET / HT"), &mut buf, &mut req).unwrap();
         assert_eq!(outcome, ReadOutcome::Closed);
     }
 
@@ -774,7 +772,7 @@ mod tests {
             taken: 0,
         };
         let (mut buf, mut req) = (Vec::new(), Request::default());
-        let outcome = read_request(&mut flood, &mut buf, &mut req, 0).unwrap();
+        let outcome = read_request(&mut flood, &mut buf, &mut req).unwrap();
         assert!(matches!(outcome, ReadOutcome::Reject { status: 431, .. }));
         assert!(buf.len() <= MAX_HEAD_BYTES + READ_CHUNK, "{}", buf.len());
         assert_eq!(flood.taken, buf.len());
@@ -856,6 +854,26 @@ mod tests {
         // The Allow header sits inside the head, before the blank line.
         let head_end = text.find("\r\n\r\n").unwrap() + 2;
         assert!(text[..head_end].contains("Allow: GET, POST\r\n"));
+    }
+
+    #[test]
+    fn a_trickling_peer_cannot_hold_a_drain_past_its_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        // One byte per read timeout's half: every drain read succeeds, so
+        // only the deadline ends the drain.
+        let trickler = std::thread::spawn(move || {
+            while peer.write_all(b"x").is_ok() {
+                std::thread::sleep(DRAIN_READ_TIMEOUT / 2);
+            }
+        });
+        let started = Instant::now();
+        drain_then_close(server_side);
+        let took = started.elapsed();
+        assert!(took >= DRAIN_DEADLINE, "{took:?}");
+        assert!(took < DRAIN_DEADLINE + Duration::from_secs(1), "{took:?}");
+        trickler.join().unwrap();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The workspace takes no external dependencies, so instead of the `libc`
 //! crate these are declared directly against the C library std already
-//! links. Everything here is Linux-only and compiled out elsewhere; the
-//! serving daemon falls back to its threaded core on other targets.
+//! links. Everything here is Linux-only and compiled out elsewhere, which
+//! is why the `perfpred-serve` daemon runs on Linux only.
 //!
 //! The wrappers stay deliberately small: raw descriptors in, `io::Result`
 //! out, `EINTR` handled by the caller (retrying is a policy decision the

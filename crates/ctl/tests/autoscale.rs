@@ -195,9 +195,7 @@ fn hysteresis_does_not_flap_on_a_noisy_flat_trace() {
 
 // ---------------------------------------------------------------- e2e --
 
-/// One in-process serve node on the event-driven core (the threaded core
-/// pins a worker per connection, so a router holding keep-alive upstream
-/// connections would starve the scraper's fresh connections).
+/// One in-process serve node, wired the way `perfpred-serve` wires one.
 fn start_node() -> (
     String,
     Arc<perfpred_serve::Shutdown>,

@@ -2,13 +2,14 @@
 //!
 //! Layered queuing solves are the daemon's only expensive predictions
 //! (§8.5: seconds-scale against the historical model's microseconds), so
-//! cache misses are not solved on connection workers. They become [`Job`]s
-//! on a bounded [`JobQueue`]; a small pool of solver threads drains jobs
-//! in batches, solving each against a thread-local [`AmvaWorkspace`] pool
-//! (buffers are reused allocation-free, but warm-start state is dropped
-//! between jobs so every memoized entry is a pure function of its inputs
-//! — cluster replicas rely on that for byte-identical answers), and
-//! memoizes every result into the shared [`PredictionCache`].
+//! cache misses are not solved on the dispatcher threads that handle
+//! requests. They become [`Job`]s on a bounded [`JobQueue`]; a small pool
+//! of solver threads drains jobs in batches, solving each against a
+//! thread-local [`AmvaWorkspace`] pool (buffers are reused
+//! allocation-free, but warm-start state is dropped between jobs so every
+//! memoized entry is a pure function of its inputs — cluster replicas
+//! rely on that for byte-identical answers), and memoizes every result
+//! into the shared [`PredictionCache`].
 
 use crate::shutdown::Shutdown;
 use perfpred_core::faults::{self, FaultSite};
@@ -27,10 +28,10 @@ pub struct Job {
     /// The workload *as received*; the solver quantizes through the cache
     /// so lookup and solve agree.
     pub workload: Workload,
-    /// Where the waiting connection worker receives the result.
+    /// Where the waiting dispatcher thread receives the result.
     pub reply: mpsc::Sender<Result<Prediction, PredictError>>,
     /// When the requester stops caring. A job whose deadline has passed
-    /// by the time a solver picks it up is shed unsolved — the worker has
+    /// by the time a solver picks it up is shed unsolved — the requester has
     /// already fallen back or answered 504, so solving would only burn a
     /// solver slot that queued-behind jobs still in budget are waiting on.
     pub deadline: Option<Instant>,
@@ -93,9 +94,10 @@ impl JobQueue {
 
 /// One solver thread's main loop.
 ///
-/// Runs until `shutdown` is requested *and* the queue is drained: workers
-/// stop enqueueing once shutdown begins (the router answers misses inline
-/// then), so draining first means no accepted request is ever dropped.
+/// Runs until `shutdown` is requested *and* the queue is drained:
+/// dispatchers stop enqueueing once shutdown begins (the router answers
+/// misses inline then), so draining first means no accepted request is
+/// ever dropped.
 pub fn solver_loop(
     queue: &JobQueue,
     cache: &PredictionCache<LqnPredictor>,

@@ -5,9 +5,9 @@
 //! socket that delivers bytes in arbitrary chunks. Framing is the shared
 //! codec's: [`parse_head`] (from `perfpred_core::http`, re-exported here)
 //! is re-run over the accumulated read buffer until a whole head, then
-//! the body, is present. The threaded core's blocking reader runs the
-//! same parser, so both cores apply the same 413/431 limits and the same
-//! malformed-framing closes, and answer byte-identically.
+//! the body, is present. The router's blocking reader runs the same
+//! parser, so both daemons apply the same 413/431 limits and the same
+//! malformed-framing closes.
 //!
 //! Nothing here allocates on the steady-state path: requests parse into
 //! a reused [`Request`] scratch (strings cleared, capacity kept),

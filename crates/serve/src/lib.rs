@@ -34,7 +34,7 @@
 //! ## Serving stack
 //!
 //! ```text
-//!   listener ── accept (overload ⇒ 503)
+//!   listener ── accept (over the connection cap ⇒ 503)
 //!      │
 //!   ┌──┴──────────┬─────────────┐
 //! shard 0       shard 1       shard N    epoll loops (`reactor`), each
@@ -50,11 +50,9 @@
 //!       starts, results memoized into the shared cache)
 //! ```
 //!
-//! `--reactor-shards 0`, and every non-Linux build, serve through the
-//! threaded core ([`server`]) instead: a bounded accept queue feeding
-//! worker threads that read with `core::http::read_request` — the same
-//! parser over a blocking socket — and call the same [`router::App`].
-//! `tests/reactor.rs` holds the two cores byte-identical.
+//! That is the daemon's one serving core. It needs epoll, so the
+//! `perfpred-serve` binary runs on Linux only; on other targets it
+//! prints why and exits 2. The rest of the library still builds there.
 //!
 //! Admission control mirrors [`perfpred_resman::runtime`]: a predict
 //! request whose predicted response time lands within
@@ -71,7 +69,6 @@ pub mod models;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod router;
-pub mod server;
 pub mod shutdown;
 
 pub use perfpred_core::http;
@@ -82,5 +79,4 @@ pub use config::{ModelSpec, ServeConfig};
 pub use models::{Method, ModelHost};
 #[cfg(target_os = "linux")]
 pub use reactor::ReactorServer;
-pub use server::Server;
 pub use shutdown::Shutdown;

@@ -1,14 +1,16 @@
-//! The event-driven serving core: N per-core reactor shards, each a
+//! The daemon's serving core: N per-core reactor shards, each a
 //! nonblocking epoll loop multiplexing thousands of keep-alive
 //! connections through the [`crate::conn`] state machine.
 //!
 //! ## Why a reactor
 //!
-//! The threaded core ([`crate::server`]) spends one OS thread per
-//! in-flight connection: at 10k parked keep-alive sockets that is 10k
-//! threads' worth of stacks and context switches for work that is almost
-//! entirely *waiting*. A shard replaces the thread-per-connection model
-//! with one thread per core parked in `epoll_wait`, so a connection costs
+//! A thread-per-connection server spends one OS thread per in-flight
+//! connection: at 10k parked keep-alive sockets that is 10k threads'
+//! worth of stacks and context switches for work that is almost entirely
+//! *waiting*. perfpred-serve's original core worked that way and served
+//! 7 req/s at 1k connections, against the reactor's 30k (BENCH.json's
+//! `section.serve.reactor`). A shard instead parks one thread per core
+//! in `epoll_wait`, so a connection costs
 //! one slab slot and one fd while idle — buffers detach to a per-shard
 //! pool — and the steady-state request path (read → parse → route →
 //! serialize → write) performs zero heap allocations (`tests/zeroalloc.rs`
@@ -30,7 +32,7 @@
 //!      dispatcher pool ── App::handle_at ──┐
 //!             │                            │
 //!       solver pool (micro-batch,          │
-//!       unchanged from the threaded core)  │
+//!       `batch::solver_loop`)              │
 //!             │                            │
 //!      completion → shard's eventfd doorbell; the shard writes the
 //!      response on the connection's pooled buffers, in request order
@@ -38,9 +40,9 @@
 //!
 //! Admission control, deadline propagation (anchored at *arrival*, so
 //! dispatch queueing consumes the budget), the degraded ladder and fault
-//! injection all live in [`crate::router::App`] and are shared verbatim
-//! with the threaded core — `tests/reactor.rs` holds the two cores
-//! byte-identical over a differential request trace.
+//! injection all live in [`crate::router::App`]. `tests/reactor.rs`
+//! holds the reactor's bytes over a request trace to a recorded golden
+//! transcript.
 
 use crate::batch::solver_loop;
 use crate::conn::{BufPool, Conn, State, Step};
@@ -74,9 +76,8 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 /// slots while a shed 503 flushes; past the slack the socket just drops.
 const SHED_SLACK: usize = 256;
 /// Default eviction threshold for connections stalled mid-request,
-/// mid-response or mid-drain — the reactor's slow-loris defence,
-/// matching the threaded core's ~100 × 100 ms mid-request stall budget.
-/// Idle keep-alive connections are never evicted.
+/// mid-response or mid-drain — the reactor's slow-loris defence. Idle
+/// keep-alive connections are never evicted.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default cap on concurrently open connections across all shards,
 /// comfortably under a 20k fd ulimit with headroom for listener/epoll/
@@ -137,8 +138,8 @@ struct DispatchJob {
     arrival: Instant,
 }
 
-/// Bounded queue feeding the dispatcher pool; overflow answers 503 on the
-/// shard, mirroring the threaded core's bounded accept queue.
+/// Bounded queue feeding the dispatcher pool (`--queue-depth`); overflow
+/// answers 503 on the shard.
 struct DispatchQueue {
     jobs: Mutex<VecDeque<DispatchJob>>,
     available: Condvar,
@@ -183,9 +184,10 @@ impl DispatchQueue {
     }
 }
 
-/// A bound-and-listening event-driven daemon, one `run()` away from
-/// serving — the reactor counterpart of [`crate::server::Server`], built
-/// around the same [`App`] so the two cores answer byte-identically.
+/// A bound-and-listening daemon, one `run()` away from serving.
+///
+/// Splitting bind from run lets callers (tests, `--port 0` scripts) learn
+/// the ephemeral address before the blocking serve loop starts.
 pub struct ReactorServer {
     listener: TcpListener,
     addr: SocketAddr,
@@ -201,8 +203,8 @@ pub struct ReactorServer {
 
 impl ReactorServer {
     /// Binds `host:port` (port 0 = ephemeral) around an assembled [`App`].
-    /// `dispatchers` sizes the blocking-work pool (the threaded core's
-    /// `workers` knob); `shards` sizes the epoll reactor itself.
+    /// `shards` sizes the epoll reactor itself (`--reactor-shards`);
+    /// `dispatchers` sizes the blocking-work pool (`--workers`).
     #[allow(clippy::too_many_arguments)]
     pub fn bind(
         host: &str,
@@ -217,7 +219,7 @@ impl ReactorServer {
         let listener = TcpListener::bind((host, port))?;
         let addr = listener.local_addr()?;
         // Publish the shard count so /healthz can report the serving
-        // topology (0 means the threaded core is running instead).
+        // topology.
         app.reactor_shards.store(shards.max(1), Ordering::Relaxed);
         Ok(ReactorServer {
             listener,
@@ -239,7 +241,8 @@ impl ReactorServer {
         self.stall_timeout = timeout.max(Duration::from_millis(1));
     }
 
-    /// Overrides the global open-connection cap.
+    /// Overrides the global open-connection cap
+    /// ([`DEFAULT_MAX_CONNS`]); past it, accepts are shed with a 503.
     pub fn set_max_conns(&mut self, max_conns: usize) {
         self.max_conns = max_conns.max(1);
     }
@@ -263,8 +266,8 @@ impl ReactorServer {
         let shutdown = self.shutdown_handle();
         self.listener.set_nonblocking(true)?;
 
-        // Solver pool — identical to the threaded core, private done
-        // token so solvers outlive everything that can enqueue jobs.
+        // Solver pool, with a private done token so solvers outlive
+        // everything that can enqueue jobs.
         let solvers_done = Shutdown::new();
         let mut solver_handles = Vec::with_capacity(self.solvers);
         for i in 0..self.solvers {
@@ -710,8 +713,7 @@ impl Shard {
             return ReqOutcome::Closed;
         }
         // The deadline budget anchors here — at arrival — so time spent
-        // queued behind the dispatcher pool consumes it, exactly like
-        // queue time consumed it on the threaded core's workers.
+        // queued behind the dispatcher pool consumes it.
         let arrival = now;
         let app = Arc::clone(&self.app);
         let bufs = entry
@@ -931,6 +933,8 @@ mod tests {
         stream.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 413"), "{out}");
         assert!(out.contains("Connection: close"), "{out}");
+        // The server drains the connection until the client closes.
+        drop(stream);
         shutdown.request();
         handle.join().unwrap();
     }

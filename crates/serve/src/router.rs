@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// How long a connection worker waits for the solver pool before giving
+/// How long a dispatcher thread waits for the solver pool before giving
 /// up on a queued layered-queuing miss (an upper bound — a request
 /// deadline shortens the wait to its remaining budget).
 const SOLVER_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
@@ -24,7 +24,8 @@ const SOLVER_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 /// carry a `deadline_ms` (overridable daemon-wide with `--deadline-ms`).
 pub const DEFAULT_DEADLINE: Duration = Duration::from_millis(1_000);
 
-/// The shared application state behind every connection worker.
+/// The shared application state behind every reactor shard and
+/// dispatcher thread.
 pub struct App {
     /// Resident predictors.
     pub host: ModelHost,
@@ -42,8 +43,9 @@ pub struct App {
     /// Cluster membership, when this daemon runs as a replicated node:
     /// gates `/observe` on the primary role and backs `GET /cluster`.
     pub cluster: Option<Arc<ClusterState>>,
-    /// Reactor shard count (0 under the threaded core), published by
-    /// `ReactorServer::bind` for `/healthz`.
+    /// Reactor shard count, published by `ReactorServer::bind` for
+    /// `/healthz`: at least 1 on a serving daemon (0 only on an `App`
+    /// no server has bound yet).
     pub reactor_shards: Arc<AtomicUsize>,
     /// Live depth of the reactor's dispatch offload queue, for `/healthz`.
     pub dispatch_depth: Arc<AtomicUsize>,
@@ -655,8 +657,8 @@ impl App {
 
     /// The layered-queuing path: peek inline (the µs path the daemon's
     /// throughput target rides on), queue misses to the solver pool —
-    /// except while draining, when workers must not enqueue behind a pool
-    /// that is about to exit, so they solve inline instead.
+    /// except while draining, when dispatchers must not enqueue behind a
+    /// pool that is about to exit, so they solve inline instead.
     fn predict_lqns(
         &self,
         server: &ServerArch,

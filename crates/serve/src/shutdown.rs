@@ -1,6 +1,6 @@
-//! Graceful-shutdown plumbing: a shared flag the accept loop, connection
-//! workers and solver pool all poll, settable from a POSIX signal handler
-//! (SIGTERM/SIGINT), the `POST /shutdown` endpoint, or tests.
+//! Graceful-shutdown plumbing: a shared flag the reactor shards,
+//! dispatcher pool and solver pool all poll, settable from a POSIX signal
+//! handler (SIGTERM/SIGINT), the `POST /shutdown` endpoint, or tests.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,12 +1,14 @@
 //! Chaos test: a real daemon with fault injection armed — solver delays,
-//! accept resets and store I/O errors all firing at once — stays
-//! available through degraded serving, never emits a malformed HTTP
-//! response, never deadlocks, and recovers its durable state
-//! byte-identically after a restart.
+//! accept resets, mid-stream connection resets and store I/O errors all
+//! firing at once — stays available through degraded serving, never
+//! emits a malformed HTTP response, never deadlocks, and recovers its
+//! durable state byte-identically after a restart.
 //!
 //! This binary owns the whole process, so it installs the process-global
-//! fault plan up front; everything (accept loop, solver pool, store)
+//! fault plan up front; everything (reactor shards, solver pool, store)
 //! reads the same plan.
+
+#![cfg(target_os = "linux")]
 
 use perfpred_core::faults::{self, FaultPlan};
 use perfpred_core::metrics::{self, names};
@@ -15,7 +17,7 @@ use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
-use perfpred_serve::{ModelHost, Server, Shutdown};
+use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,8 +27,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-// `conn_reset` only fires in the reactor core's connection state machine;
-// the threaded leg never draws from that site.
 const CHAOS_SPEC: &str =
     "solver_delay=40ms:p0.35,accept_reset=p0.1,store_io_err=p0.25,conn_reset=p0.03";
 const CHAOS_SEED: u64 = 42;
@@ -58,9 +58,8 @@ impl Daemon {
     /// Starts a daemon over the durable store in `dir`, shaped like
     /// `main` wires it: paper models sharing the store's registry, a
     /// deliberately shallow solver queue, and a tight default deadline so
-    /// injected solver delays actually blow budgets. `reactor` selects
-    /// the epoll core (Linux) instead of the thread-per-connection core.
-    fn start(dir: &std::path::Path, reactor: bool) -> Daemon {
+    /// injected solver delays actually blow budgets.
+    fn start(dir: &std::path::Path) -> Daemon {
         let servers = perfpred_bench::context::Experiments::servers();
         let (store, _report) =
             ObservationStore::open(dir, LogOptions::default(), &servers, refit_opts()).unwrap();
@@ -74,28 +73,12 @@ impl Daemon {
             Arc::clone(&store),
         );
         app.deadline = Duration::from_millis(200);
-        let (addr, shutdown, handle) = if reactor {
-            #[cfg(target_os = "linux")]
-            {
-                let server =
-                    perfpred_serve::ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 8, 8)
-                        .unwrap();
-                let addr = server.local_addr();
-                let shutdown = server.shutdown_handle();
-                (addr, shutdown, thread::spawn(move || server.run().unwrap()))
-            }
-            #[cfg(not(target_os = "linux"))]
-            unreachable!("the reactor leg only runs on Linux")
-        } else {
-            let server = Server::bind("127.0.0.1", 0, app, 4, 2, 8, 8).unwrap();
-            let addr = server.local_addr();
-            let shutdown = server.shutdown_handle();
-            (addr, shutdown, thread::spawn(move || server.run().unwrap()))
-        };
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 8, 8).unwrap();
+        let (addr, shutdown) = (server.local_addr(), server.shutdown_handle());
         Daemon {
             addr,
             shutdown,
-            handle: Some(handle),
+            handle: Some(thread::spawn(move || server.run().unwrap())),
             store,
         }
     }
@@ -118,8 +101,8 @@ impl Drop for Daemon {
 enum Reply {
     /// A well-formed response: status and body.
     Http(u16, String),
-    /// The connection died before any bytes arrived (injected accept
-    /// reset, worker-pool shed) — retryable, not a protocol violation.
+    /// The connection died before any bytes arrived (injected accept or
+    /// connection reset) — retryable, not a protocol violation.
     Transport,
     /// Bytes arrived that are not an HTTP/1.1 response — the failure the
     /// whole test exists to rule out.
@@ -320,14 +303,14 @@ fn chaos_run_stays_available_wellformed_and_recovers_byte_identically() {
         })
     };
 
-    let mut daemon = Daemon::start(&dir, false);
+    let mut daemon = Daemon::start(&dir);
     let store = Arc::clone(&daemon.store);
 
     let total = run_clients(daemon.addr);
 
     // 1. Protocol integrity: every byte stream the server produced was an
-    //    HTTP/1.1 response, under resets, floods of fresh connections and
-    //    injected faults.
+    //    HTTP/1.1 response, under accept and mid-stream resets, floods of
+    //    fresh connections and injected faults.
     assert!(
         total.malformed.is_empty(),
         "malformed responses: {:?}",
@@ -360,12 +343,18 @@ fn chaos_run_stays_available_wellformed_and_recovers_byte_identically() {
         "fault metrics must record the injections"
     );
     assert!(
+        metrics::counter("serve.faults.conn_reset").get() > 0,
+        "the conn_reset site never fired"
+    );
+    assert!(
         total.observe_ok > 0,
         "some observation batches must have landed"
     );
 
     // 4. Byte-identical recovery: reopen the log a failed-batch-riddled
     //    run produced; the replayed registry must equal the live one.
+    //    stop() joins run(), so it also proves the drain: it hangs if any
+    //    shard, dispatcher or solver fails to exit.
     store.sync().unwrap();
     let version_before = store.registry().version();
     let model_before = store.current_model_serialized();
@@ -383,42 +372,6 @@ fn chaos_run_stays_available_wellformed_and_recovers_byte_identically() {
     assert_eq!(replayed.registry().version(), version_before);
     assert_eq!(replayed.current_model_serialized(), model_before);
     drop(replayed);
-
-    // 5. The same chaos against the reactor core (Linux): availability,
-    //    protocol integrity and graceful drain hold with epoll shards in
-    //    place of the worker pool — now with mid-stream connection resets
-    //    armed as well, which only the reactor's state machine draws.
-    #[cfg(target_os = "linux")]
-    {
-        let dir = scratch("reactor");
-        let mut daemon = Daemon::start(&dir, true);
-        let total = run_clients(daemon.addr);
-        assert!(
-            total.malformed.is_empty(),
-            "reactor produced malformed responses: {:?}",
-            total.malformed
-        );
-        let availability = total.predict_ok as f64 / total.predicts as f64;
-        assert!(
-            availability >= 0.99,
-            "reactor predict availability {availability:.4} ({} of {})",
-            total.predict_ok,
-            total.predicts
-        );
-        assert!(
-            total.degraded > 0,
-            "no degraded responses on the reactor leg"
-        );
-        assert!(
-            metrics::counter("serve.faults.conn_reset").get() > 0,
-            "the conn_reset site never fired against the reactor"
-        );
-        // Graceful drain: stop() joins run(), which hangs if any shard,
-        // dispatcher or solver fails to exit.
-        daemon.stop();
-        drop(daemon);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     done.store(true, Ordering::Relaxed);
     watchdog.join().unwrap();

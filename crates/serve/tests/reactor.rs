@@ -1,7 +1,7 @@
 //! Reactor-core integration tests: adversarial framing (one-byte writes,
-//! hostile chunk boundaries, pipelining), slow-loris eviction, and the
-//! differential trace holding the reactor byte-identical to the threaded
-//! core over every deterministic endpoint.
+//! hostile chunk boundaries, pipelining), slow-loris eviction, the accept
+//! shed, and the golden trace holding the reactor's bytes over every
+//! deterministic endpoint to a recorded transcript.
 
 #![cfg(target_os = "linux")]
 
@@ -10,7 +10,7 @@ use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
-use perfpred_serve::{ModelHost, ReactorServer, Server, Shutdown};
+use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -47,11 +47,9 @@ impl Drop for Running {
     }
 }
 
-fn start_reactor_with(stall: Option<Duration>) -> Running {
+fn start_reactor_with(tune: impl FnOnce(&mut ReactorServer)) -> Running {
     let mut server = ReactorServer::bind("127.0.0.1", 0, make_app(), 2, 2, 1, 8, 64).unwrap();
-    if let Some(stall) = stall {
-        server.set_stall_timeout(stall);
-    }
+    tune(&mut server);
     let addr = server.local_addr();
     let shutdown = server.shutdown_handle();
     let handle = thread::spawn(move || server.run().unwrap());
@@ -63,19 +61,7 @@ fn start_reactor_with(stall: Option<Duration>) -> Running {
 }
 
 fn start_reactor() -> Running {
-    start_reactor_with(None)
-}
-
-fn start_threaded() -> Running {
-    let server = Server::bind("127.0.0.1", 0, make_app(), 2, 1, 8, 64).unwrap();
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let handle = thread::spawn(move || server.run().unwrap());
-    Running {
-        addr,
-        shutdown,
-        handle: Some(handle),
-    }
+    start_reactor_with(|_| {})
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -90,8 +76,9 @@ fn connect(addr: SocketAddr) -> TcpStream {
 }
 
 /// Reads exactly one HTTP/1.1 response frame (head + Content-Length body)
-/// so keep-alive connections can be read response-by-response.
-fn read_response(stream: &mut TcpStream) -> Vec<u8> {
+/// so keep-alive connections (and the golden transcript) can be read
+/// response-by-response.
+fn read_response(stream: &mut impl Read) -> Vec<u8> {
     let mut raw = Vec::new();
     let mut byte = [0u8; 1];
     let head_end = loop {
@@ -252,7 +239,7 @@ fn pipelined_requests_answer_in_order() {
 
 #[test]
 fn slow_loris_is_evicted_but_idle_keepalive_survives() {
-    let mut server = start_reactor_with(Some(Duration::from_millis(250)));
+    let mut server = start_reactor_with(|s| s.set_stall_timeout(Duration::from_millis(250)));
 
     // An idle keep-alive connection (no bytes at all) must NOT be evicted.
     let mut idle = connect(server.addr);
@@ -281,11 +268,14 @@ fn slow_loris_is_evicted_but_idle_keepalive_survives() {
     server.stop();
 }
 
-/// The tentpole's correctness contract: both cores, fed the identical
-/// request trace over the deterministic endpoints, emit identical bytes —
-/// same JSON, same framing headers, same keep-alive decisions.
+/// The serving contract: over the deterministic endpoints the reactor
+/// emits exactly the bytes in `data/reactor_trace.http` — same JSON, same
+/// framing headers, same keep-alive decisions. The transcript was recorded
+/// from the thread-per-connection core this reactor replaced, which
+/// answered the same trace byte-identically; a deliberate change to the
+/// wire format edits the file alongside the code.
 #[test]
-fn threaded_and_reactor_traces_are_byte_identical() {
+fn reactor_trace_matches_the_golden_transcript() {
     // Serial, deterministic trace. /healthz (uptime) and /metrics
     // (latency histograms) are excluded by design; /observe pins
     // timestamp_us so nothing reads the wall clock.
@@ -303,7 +293,7 @@ fn threaded_and_reactor_traces_are_byte_identical() {
             r#"{"method": "lqns", "server": "AppServF", "clients": 200}"#,
             false,
         ),
-        // Identical repeat: must come back cached in both cores.
+        // Identical repeat: must come back cached.
         frame(
             "POST",
             "/predict",
@@ -318,59 +308,97 @@ fn threaded_and_reactor_traces_are_byte_identical() {
         ),
         frame("GET", "/models", "", false),
         frame("GET", "/does-not-exist", "", false),
+        // A 405 keeps the connection: the next step shares it.
         frame("DELETE", "/predict", "", false),
         frame("POST", "/predict", "{not json", false),
         frame("POST", "/plan", r#"{"workloads": "nope"}"#, false),
     ];
 
-    let run_trace = |addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut replies = Vec::new();
-        let mut stream = connect(addr);
-        for req in &trace {
-            stream.write_all(req).unwrap();
-            replies.push(read_response(&mut stream));
-        }
-        // Reject path on its own connection (the server closes it).
-        let mut stream = connect(addr);
-        stream
-            .write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n")
-            .unwrap();
+    let mut server = start_reactor();
+    let mut replies = Vec::new();
+    let mut stream = connect(server.addr);
+    for req in &trace {
+        stream.write_all(req).unwrap();
         replies.push(read_response(&mut stream));
-        // Shutdown last: its response and Connection: close must match.
-        let mut stream = connect(addr);
-        stream
-            .write_all(&frame("POST", "/shutdown", "", false))
-            .unwrap();
-        replies.push(read_response(&mut stream));
-        replies
-    };
+    }
+    // Reject path on its own connection (the server closes it).
+    let mut rejected = connect(server.addr);
+    rejected
+        .write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n")
+        .unwrap();
+    replies.push(read_response(&mut rejected));
+    // Shutdown last: its response and Connection: close must match.
+    let mut stream = connect(server.addr);
+    stream
+        .write_all(&frame("POST", "/shutdown", "", false))
+        .unwrap();
+    replies.push(read_response(&mut stream));
+    // The server drains the rejected connection until the client closes.
+    drop(rejected);
+    server.stop();
 
-    let mut threaded = start_threaded();
-    let threaded_replies = run_trace(threaded.addr);
-    threaded.stop();
-
-    let mut reactor = start_reactor();
-    let reactor_replies = run_trace(reactor.addr);
-    reactor.stop();
-
-    assert_eq!(threaded_replies.len(), reactor_replies.len());
-    for (i, (t, r)) in threaded_replies.iter().zip(&reactor_replies).enumerate() {
+    let mut golden: &[u8] = include_bytes!("data/reactor_trace.http");
+    let mut expected = Vec::new();
+    while !golden.is_empty() {
+        expected.push(read_response(&mut golden));
+    }
+    assert_eq!(expected.len(), 12, "the transcript holds 12 responses");
+    assert_eq!(replies.len(), expected.len());
+    for (i, (want, got)) in expected.iter().zip(&replies).enumerate() {
         assert_eq!(
-            t,
-            r,
-            "trace step {i} diverged:\n--- threaded ---\n{}\n--- reactor ---\n{}",
-            String::from_utf8_lossy(t),
-            String::from_utf8_lossy(r)
+            want,
+            got,
+            "trace step {i} diverged:\n--- golden ---\n{}\n--- reactor ---\n{}",
+            String::from_utf8_lossy(want),
+            String::from_utf8_lossy(got)
         );
     }
     // Sanity: the interesting shapes actually occurred.
-    assert_eq!(status_of(&threaded_replies[1]), 200);
-    assert_eq!(status_of(&threaded_replies[6]), 404);
-    assert_eq!(status_of(&threaded_replies[7]), 405);
-    assert_eq!(status_of(&threaded_replies[8]), 400);
-    assert_eq!(status_of(&threaded_replies[10]), 413);
-    let cached = String::from_utf8_lossy(&threaded_replies[3]);
+    assert_eq!(status_of(&replies[1]), 200);
+    assert_eq!(status_of(&replies[6]), 404);
+    assert_eq!(status_of(&replies[7]), 405);
+    assert_eq!(status_of(&replies[8]), 400);
+    assert_eq!(status_of(&replies[10]), 413);
+    let cached = String::from_utf8_lossy(&replies[3]);
     assert!(cached.contains("\"cached\": true"), "{cached}");
+}
+
+#[test]
+fn connections_over_the_cap_are_shed_with_a_503_and_a_fin() {
+    let mut server = start_reactor_with(|s| s.set_max_conns(2));
+
+    // Two held connections, each proven registered by a served request,
+    // so the third accept deterministically sees the cap reached.
+    let mut held: Vec<TcpStream> = (0..2).map(|_| connect(server.addr)).collect();
+    for stream in &mut held {
+        stream
+            .write_all(&frame("GET", "/models", "", false))
+            .unwrap();
+        assert_eq!(status_of(&read_response(stream)), 200);
+    }
+
+    let mut over = connect(server.addr);
+    let mut reply = Vec::new();
+    // read_to_end only succeeds on a FIN; a reset is an error here.
+    over.read_to_end(&mut reply)
+        .expect("the shed connection must close with a FIN, not a reset");
+    let text = String::from_utf8_lossy(&reply);
+    assert_eq!(status_of(&reply), 503, "{text}");
+    assert!(text.contains("Connection: close\r\n"), "{text}");
+    assert!(text.contains("server is overloaded"), "{text}");
+    assert!(
+        perfpred_core::metrics::counter("serve.accept_overflow").get() > 0,
+        "the shed must be recorded"
+    );
+
+    // A held connection still serves.
+    held[0]
+        .write_all(&frame("GET", "/models", "", false))
+        .unwrap();
+    assert_eq!(status_of(&read_response(&mut held[0])), 200);
+    // The server drains the shed connection until the client closes.
+    drop(over);
+    server.stop();
 }
 
 #[test]
