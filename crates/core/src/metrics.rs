@@ -44,6 +44,9 @@ pub mod names {
     /// Counts every successful refit + model publish — rendered as
     /// `store_refits_total` in the exposition.
     pub const STORE_REFITS_TOTAL: &str = "store.refits_total";
+    /// Counts the subset of those refits the drift trigger fired —
+    /// rendered as `store_drift_refits_total`.
+    pub const STORE_DRIFT_REFITS_TOTAL: &str = "store.drift_refits_total";
     /// Counts solver jobs shed because their request deadline had already
     /// expired — rendered as `serve_deadline_expired_total`.
     pub const SERVE_DEADLINE_EXPIRED_TOTAL: &str = "serve.deadline_expired_total";

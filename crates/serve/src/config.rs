@@ -98,7 +98,9 @@ pub struct ServeConfig {
     /// Observations between scheduled refits.
     pub refit_window: usize,
     /// Mean relative error over recent observations that triggers an
-    /// early (drift) refit; `0` disables drift detection.
+    /// early (drift) refit; `0` disables drift detection. A refit that
+    /// leaves the error above it disarms the trigger until the error dips
+    /// back to or under it.
     pub drift_threshold: f64,
     /// Default `/predict` deadline budget in milliseconds; `0` disables
     /// deadlines (requests then wait the full solver reply timeout). A
@@ -164,7 +166,9 @@ USAGE: perfpred-serve [OPTIONS]
   --store-dir PATH     durable observation log directory; unset = in-memory
   --refit-window N     observations between scheduled refits (default 128)
   --drift-threshold X  mean relative error triggering an early refit,
-                       0 disables drift detection (default 0.25)
+                       0 disables drift detection (default 0.25); a refit
+                       that leaves the error above it disarms the trigger
+                       until the error dips back under it
   --deadline-ms N      default /predict deadline budget in ms; past it the
                        daemon answers from the degraded ladder (cache,
                        historical, hybrid) or 504s. 0 disables deadlines

@@ -20,8 +20,8 @@
 //!   batched) into the [`perfpred_store`] observation log; every full
 //!   refit window (or on detected drift) the historical model is refitted
 //!   and hot-swapped without dropping in-flight work;
-//! * `GET /models` — the versioned model registry: current version,
-//!   triggers, observation counts;
+//! * `GET /models` — the versioned model registry: current version, and
+//!   triggers and observation counts of the last 256 versions;
 //! * `POST /plan` — SLA workload set + pool → resource-manager allocation
 //!   (via [`perfpred_resman::planner::plan`]);
 //! * `GET /metrics` — Prometheus-style text exposition of the

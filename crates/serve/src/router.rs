@@ -335,6 +335,13 @@ impl App {
         text.push_str(&format!(
             "serve_model_version{{method=\"historical\",model_version=\"{version}\"}} {version}\n"
         ));
+        // The refitter's drift score, read at scrape time; NaN until its
+        // first fit has scored a ring entry.
+        text.push_str("# TYPE store_drift_score gauge\n");
+        text.push_str(&format!(
+            "store_drift_score {}\n",
+            self.store.drift_score().unwrap_or(f64::NAN)
+        ));
         // Control-plane gauges: smoothed arrival rates plus live queue
         // depths (the registry only holds monotonic counters; these are
         // instantaneous values, so they are appended as gauge lines).
@@ -354,8 +361,9 @@ impl App {
         Response::text(200, text)
     }
 
-    /// `GET /models`: the registry's version history — what the serving
-    /// model is, how it got there, and how much data is behind it.
+    /// `GET /models`: the registry's retained version history (the last
+    /// [`perfpred_store::RETAINED_VERSIONS`]) — what the serving model is,
+    /// how it got there, and how much data is behind it.
     fn models(&self) -> Response {
         let mut body = Json::obj();
         body.set("current", self.host.registry.version());
@@ -1457,6 +1465,34 @@ mod tests {
         assert!(j.get("current").and_then(Json::as_u32).unwrap() >= 1);
         assert_eq!(j.get("observations").and_then(Json::as_u32), Some(128));
         assert!(!j.get("versions").and_then(Json::as_arr).unwrap().is_empty());
+    }
+
+    #[test]
+    fn metrics_expose_refit_counters_and_the_drift_score() {
+        let _scope = metrics::Scope::new();
+        let guard = _scope.enter();
+        let app = app();
+        let value = |text: &str, series: &str| {
+            text.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+                .map(|v| v.parse::<f64>().unwrap())
+        };
+        let text = String::from_utf8(app.handle(&request("GET", "/metrics", "")).body).unwrap();
+        assert!(
+            value(&text, "store_drift_score").unwrap().is_nan(),
+            "{text}"
+        );
+
+        // Two windows: the second fit re-scores the ring.
+        app.handle(&request("POST", "/observe", &observe_batch(256, 1.0)));
+        let text = String::from_utf8(app.handle(&request("GET", "/metrics", "")).body).unwrap();
+        let refits = value(&text, "store_refits_total").unwrap();
+        let drift = value(&text, "store_drift_refits_total").unwrap();
+        assert!(refits >= 1.0 && drift <= refits, "{text}");
+        let score = value(&text, "store_drift_score").unwrap();
+        assert_eq!(Some(score), app.store.drift_score(), "{text}");
+        assert!(score.is_finite() && score >= 0.0, "{text}");
+        drop(guard);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! incrementally into the HYDRA anchor grid, and periodically — on a full
 //! window or on detected drift — produce a freshly calibrated
 //! [`HistoricalModel`](perfpred_hydra::HistoricalModel) that is
-//! hot-swapped into a versioned registry the serve daemon reads lock-free.
+//! hot-swapped into a bounded, versioned registry the serve daemon reads
+//! without waiting on a fold or a fit.
 //!
 //! Layers, bottom to top:
 //!
@@ -16,8 +17,10 @@
 //! * [`log`] — segmented append-only log with atomic manifest updates and
 //!   torn-tail recovery.
 //! * [`refit`] — the incremental refitter: anchor-grid running sums,
-//!   window + drift triggers, batch-equivalent fits.
-//! * [`registry`] — versioned models behind one atomic pointer;
+//!   window + re-armed drift triggers with O(1) drift scoring,
+//!   batch-equivalent fits.
+//! * [`registry`] — the current model and the last
+//!   [`RETAINED_VERSIONS`] versions as `Arc`s behind one `RwLock`;
 //!   [`RegistryModel`] adapts the registry to
 //!   [`PerformanceModel`](perfpred_core::PerformanceModel).
 //! * [`pipeline`] — [`ObservationStore`], the assembled intake: one lock
@@ -34,4 +37,4 @@ pub use log::{LogOptions, ObservationLog, ReplayReport, SegmentReader};
 pub use pipeline::{IngestOutcome, LogWatch, ObservationStore, RefitEvent};
 pub use record::{Observation, StoreError, RECORD_BYTES, SERVER_NAME_BYTES};
 pub use refit::{AnchorGrid, RefitOptions, RefitTrigger, Refitter};
-pub use registry::{ModelRegistry, ModelVersion, RegistryModel};
+pub use registry::{ModelRegistry, ModelVersion, RegistryModel, RETAINED_VERSIONS};

@@ -5,8 +5,9 @@
 //! order is exactly the fold order — the property that makes replay after
 //! a restart reconstruct the serving model bit for bit. The registry hot
 //! swap happens inside the same critical section (publishing is cheap:
-//! one `Arc` push and one atomic store), while readers stay lock-free
-//! throughout via [`ModelRegistry::current`].
+//! one `Arc` swap under the registry's write lock), while readers only
+//! clone the current `Arc` under its read lock via
+//! [`ModelRegistry::current`] and never wait for a fold or a fit.
 
 use crate::log::{LogOptions, ObservationLog, ReplayReport};
 use crate::record::{Observation, StoreError};
@@ -238,6 +239,13 @@ impl ObservationStore {
         metrics::counter(names::STORE_OBSERVATIONS_TOTAL).add(outcome.accepted);
         if !outcome.refits.is_empty() {
             metrics::counter(names::STORE_REFITS_TOTAL).add(outcome.refits.len() as u64);
+            // Added even when zero, so the series appears beside the total.
+            let drift = outcome
+                .refits
+                .iter()
+                .filter(|r| r.trigger == RefitTrigger::Drift)
+                .count();
+            metrics::counter(names::STORE_DRIFT_REFITS_TOTAL).add(drift as u64);
         }
         Ok(outcome)
     }
@@ -300,6 +308,12 @@ impl ObservationStore {
     /// excluding unknown-server skips).
     pub fn observations(&self) -> u64 {
         self.inner.lock().unwrap().refitter.folded()
+    }
+
+    /// The refitter's current drift score: the mean relative error of its
+    /// last fit over the drift ring (see [`Refitter::drift_score`]).
+    pub fn drift_score(&self) -> Option<f64> {
+        self.inner.lock().unwrap().refitter.drift_score()
     }
 
     /// Observations skipped because their server is unknown.

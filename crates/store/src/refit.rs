@@ -26,6 +26,22 @@
 //! a ring of recent typical observations exceeds `drift_threshold`,
 //! meaning the live system no longer behaves like the data the model was
 //! fitted on.
+//!
+//! Drift scoring is O(1) per fold: each ring entry stores its relative
+//! error against the last fit, scored once when it enters the ring, and
+//! the whole ring is re-scored only when the last fit changes
+//! ([`Refitter::fit`], [`Refitter::seed`]). The score is the mean of the
+//! stored errors summed in ring order, so it is bit-identical to
+//! re-predicting every entry on every fold.
+//!
+//! The drift trigger has hysteresis. It fires only while *armed*; every
+//! successful fit re-arms it only if the new fit brings the score to or
+//! under the threshold, and any later fold whose score is at or under the
+//! threshold re-arms it. A fit that cannot explain the ring therefore does
+//! not re-trigger on the next observation — the window trigger still
+//! refits on schedule — while a failed fit (`None`) leaves the trigger
+//! armed so the next fold retries. The arm state is a pure function of
+//! the fold/fit sequence, so replay stays deterministic.
 
 use crate::record::Observation;
 use perfpred_core::{PerformanceModel, ServerArch, Workload};
@@ -127,7 +143,9 @@ impl Cell {
 /// Per-server incremental state.
 #[derive(Debug, Clone)]
 struct ServerState {
-    max_throughput_rps: f64,
+    /// The architecture drift samples are predicted against: the server's
+    /// name and benchmarked max throughput at unit speed, built once.
+    arch: ServerArch,
     n_star: f64,
     lower: [Cell; CELLS],
     upper: [Cell; CELLS],
@@ -142,7 +160,7 @@ struct ServerState {
 impl ServerState {
     fn new(arch: &ServerArch, nominal_gradient: f64) -> ServerState {
         ServerState {
-            max_throughput_rps: arch.max_throughput_rps,
+            arch: ServerArch::new(arch.name.clone(), 1.0, arch.max_throughput_rps),
             n_star: arch.max_throughput_rps / nominal_gradient,
             lower: [Cell::default(); CELLS],
             upper: [Cell::default(); CELLS],
@@ -191,8 +209,9 @@ impl ServerState {
             && self.upper.iter().filter(|c| c.count > 0).count() >= 2
     }
 
-    fn observations(&self, name: &str) -> ServerObservations {
-        let mut obs = ServerObservations::new(name, self.max_throughput_rps);
+    fn observations(&self) -> ServerObservations {
+        let mut obs =
+            ServerObservations::new(self.arch.name.as_str(), self.arch.max_throughput_rps);
         for cell in &self.lower {
             if let Some((n, mrt)) = cell.mean() {
                 obs = obs.with_lower(n, mrt);
@@ -225,17 +244,44 @@ pub struct AnchorGrid {
     pub gradient_sums: (f64, f64),
 }
 
+/// One typical observation in the drift ring.
+#[derive(Debug, Clone, Copy)]
+struct DriftSample {
+    /// Index into [`Refitter::servers`].
+    server: usize,
+    clients: u32,
+    mrt_ms: f64,
+    /// Relative error of the last fit at this point; `None` when there is
+    /// no fit yet or the point cannot be scored.
+    error: Option<f64>,
+}
+
+/// Relative error of `model` at a typical-workload point, or `None` when
+/// the model cannot predict it or the measurement is not positive.
+fn relative_error(
+    model: &HistoricalModel,
+    arch: &ServerArch,
+    clients: u32,
+    mrt_ms: f64,
+) -> Option<f64> {
+    let p = model.predict(arch, &Workload::typical(clients)).ok()?;
+    (p.mrt_ms.is_finite() && mrt_ms > 0.0).then(|| (p.mrt_ms - mrt_ms).abs() / mrt_ms)
+}
+
 /// The incremental refitter. Pure state machine: no I/O, no clocks — its
 /// behaviour is a deterministic function of the folded sequence.
 pub struct Refitter {
     opts: RefitOptions,
-    servers: BTreeMap<String, ServerState>,
+    /// Sorted by name: the fit's assembly order and the lookup order.
+    servers: Vec<ServerState>,
     folded: u64,
     skipped_unknown: u64,
     since_refit: usize,
     /// Ring of recent typical observations scored against the last fit.
-    drift_ring: Vec<(String, u32, f64)>,
+    drift_ring: Vec<DriftSample>,
     drift_next: usize,
+    /// Whether the drift trigger may fire (see the module docs).
+    armed: bool,
     last_fit: Option<HistoricalModel>,
 }
 
@@ -244,42 +290,59 @@ impl Refitter {
     /// anchor each grid). Observations naming unknown servers are counted
     /// and skipped.
     pub fn new(servers: &[ServerArch], opts: RefitOptions) -> Refitter {
-        let servers = servers
+        // A later duplicate name replaces an earlier one.
+        let servers: BTreeMap<&str, ServerState> = servers
             .iter()
-            .map(|s| (s.name.clone(), ServerState::new(s, opts.nominal_gradient)))
+            .map(|s| (s.name.as_str(), ServerState::new(s, opts.nominal_gradient)))
             .collect();
         Refitter {
             opts,
-            servers,
+            servers: servers.into_values().collect(),
             folded: 0,
             skipped_unknown: 0,
             since_refit: 0,
             drift_ring: Vec::new(),
             drift_next: 0,
+            armed: true,
             last_fit: None,
         }
     }
 
     /// Installs an externally fitted model (e.g. the calibration-dataset
-    /// seed) as the baseline for drift scoring.
+    /// seed) as the baseline for drift scoring. The arm state is left as
+    /// it is: a seed is not a refit.
     pub fn seed(&mut self, model: HistoricalModel) {
         self.last_fit = Some(model);
+        self.rescore();
     }
 
     /// Folds one observation. Returns the trigger when this observation
     /// warrants a refit attempt — the caller then runs [`Refitter::fit`]
     /// and publishes on success.
     pub fn fold(&mut self, obs: &Observation) -> Option<RefitTrigger> {
-        let Some(state) = self.servers.get_mut(&obs.server) else {
+        let Ok(server) = self
+            .servers
+            .binary_search_by(|s| s.arch.name.as_str().cmp(obs.server.as_str()))
+        else {
             self.skipped_unknown += 1;
             return None;
         };
+        let state = &mut self.servers[server];
         state.fold(obs);
         self.folded += 1;
         self.since_refit += 1;
 
         if obs.buy_pct == 0.0 {
-            let sample = (obs.server.clone(), obs.clients, obs.mrt_ms);
+            let error = self
+                .last_fit
+                .as_ref()
+                .and_then(|m| relative_error(m, &state.arch, obs.clients, obs.mrt_ms));
+            let sample = DriftSample {
+                server,
+                clients: obs.clients,
+                mrt_ms: obs.mrt_ms,
+                error,
+            };
             if self.drift_ring.len() < self.opts.drift_window.max(1) {
                 self.drift_ring.push(sample);
             } else {
@@ -288,46 +351,59 @@ impl Refitter {
             }
         }
 
+        let over = self.over_threshold();
+        if over == Some(false) {
+            self.armed = true;
+        }
         if self.since_refit >= self.opts.refit_window.max(1) {
             self.since_refit = 0;
             return Some(RefitTrigger::Window);
         }
-        if self.drifted() {
+        if over == Some(true) && self.armed {
             self.since_refit = 0;
             return Some(RefitTrigger::Drift);
         }
         None
     }
 
-    /// Drift score: mean relative error of the *refitter's own* last fit
-    /// over the ring. Scoring against our own fit — never the registry —
-    /// keeps replay a pure function of the log.
-    fn drifted(&self) -> bool {
-        if self.opts.drift_threshold <= 0.0 || !self.opts.drift_threshold.is_finite() {
-            return false;
-        }
+    /// Re-scores every ring entry against the last fit.
+    fn rescore(&mut self) {
         let Some(model) = &self.last_fit else {
-            return false;
+            return;
         };
+        for s in &mut self.drift_ring {
+            s.error = relative_error(model, &self.servers[s.server].arch, s.clients, s.mrt_ms);
+        }
+    }
+
+    /// Drift score: mean relative error of the *refitter's own* last fit
+    /// over the scored entries of the ring, summed in ring order. Scoring
+    /// against our own fit — never the registry — keeps replay a pure
+    /// function of the log. `None` before the first fit or seed, or while
+    /// no ring entry could be scored. Costs one pass over the ring's
+    /// stored errors; nothing is predicted.
+    pub fn drift_score(&self) -> Option<f64> {
+        self.last_fit.as_ref()?;
+        let (sum, scored) = self
+            .drift_ring
+            .iter()
+            .filter_map(|s| s.error)
+            .fold((0.0, 0usize), |(sum, n), e| (sum + e, n + 1));
+        (scored > 0).then(|| sum / scored as f64)
+    }
+
+    /// Whether the drift score is over the threshold: `None` while drift
+    /// detection is disabled, the ring is not yet full, or there is no
+    /// score.
+    fn over_threshold(&self) -> Option<bool> {
+        let threshold = self.opts.drift_threshold;
+        if threshold <= 0.0 || !threshold.is_finite() {
+            return None;
+        }
         if self.drift_ring.len() < self.opts.drift_window.max(1) {
-            return false;
+            return None;
         }
-        let mut sum = 0.0;
-        let mut scored = 0usize;
-        for (server, clients, mrt) in &self.drift_ring {
-            let Some(state) = self.servers.get(server) else {
-                continue;
-            };
-            let arch = ServerArch::new(server.clone(), 1.0, state.max_throughput_rps);
-            let Ok(p) = model.predict(&arch, &Workload::typical(*clients)) else {
-                continue;
-            };
-            if p.mrt_ms.is_finite() && *mrt > 0.0 {
-                sum += (p.mrt_ms - mrt).abs() / mrt;
-                scored += 1;
-            }
-        }
-        scored > 0 && sum / scored as f64 > self.opts.drift_threshold
+        self.drift_score().map(|score| score > threshold)
     }
 
     /// Attempts a full fit from the current anchor grids. `None` until at
@@ -339,12 +415,12 @@ impl Refitter {
         let mut grad_nx = 0.0;
         let mut grad_nn = 0.0;
         let mut r3_best: Option<Vec<(f64, f64)>> = None;
-        // BTreeMap iteration makes the assembly order deterministic.
-        for (name, state) in &self.servers {
+        // Name order makes the assembly order deterministic.
+        for state in &self.servers {
             if !state.established() {
                 continue;
             }
-            builder = builder.observations(state.observations(name));
+            builder = builder.observations(state.observations());
             any = true;
             grad_nx += state.grad_sum_nx;
             grad_nn += state.grad_sum_nn;
@@ -364,6 +440,10 @@ impl Refitter {
         }
         let model = builder.build().ok()?;
         self.last_fit = Some(model.clone());
+        self.rescore();
+        // A fit that leaves the ring over the threshold cannot be helped by
+        // refitting the same data again: disarm until drift dips back.
+        self.armed = self.over_threshold() != Some(true);
         Some(model)
     }
 
@@ -385,7 +465,7 @@ impl Refitter {
     /// The raw anchor-grid sums for `server` — exact, not rounded — so
     /// tests can assert bit-identity between incremental and batch folds.
     pub fn anchor_grid(&self, server: &str) -> Option<AnchorGrid> {
-        let state = self.servers.get(server)?;
+        let state = self.servers.iter().find(|s| s.arch.name == server)?;
         let cells = |cells: &[Cell; CELLS]| {
             cells
                 .iter()
@@ -544,6 +624,236 @@ mod tests {
         assert_eq!(
             perfpred_hydra::persist::serialize(&ma),
             perfpred_hydra::persist::serialize(&mb)
+        );
+    }
+
+    /// Today's trace at operating point `i` with every other sweep scaled
+    /// 0.4× or 1.6×: no single fit explains both halves.
+    fn noisy(count: u32) -> Vec<Observation> {
+        trace(1.0, count)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut o)| {
+                o.mrt_ms *= if (i / 29) % 2 == 0 { 0.4 } else { 1.6 };
+                o
+            })
+            .collect()
+    }
+
+    /// An observation of `server` the refitter's last fit predicts exactly,
+    /// times `scale`.
+    fn on_fit(r: &Refitter, arch: &ServerArch, clients: u32, scale: f64) -> Observation {
+        let unit = ServerArch::new(arch.name.clone(), 1.0, arch.max_throughput_rps);
+        let p = r
+            .last_fit()
+            .unwrap()
+            .predict(&unit, &Workload::typical(clients))
+            .unwrap();
+        Observation::typical(&arch.name, clients, scale * p.mrt_ms)
+    }
+
+    #[test]
+    fn drift_score_matches_a_full_recompute_bit_for_bit() {
+        let servers = ServerArch::case_study_servers();
+        let opts = RefitOptions {
+            refit_window: 1_000_000,
+            drift_window: 24,
+            ..RefitOptions::default()
+        };
+        let mut r = Refitter::new(&servers, opts);
+        // The full-recompute loop the incremental score replaces: re-predict
+        // every ring entry against the last fit, in ring order.
+        let mut ring: Vec<(String, u32, f64)> = Vec::new();
+        let mut next = 0;
+        let full = |r: &Refitter, ring: &[(String, u32, f64)]| {
+            let model = r.last_fit()?;
+            let (mut sum, mut scored) = (0.0, 0usize);
+            for (server, clients, mrt) in ring {
+                let mx = servers
+                    .iter()
+                    .rfind(|s| &s.name == server)?
+                    .max_throughput_rps;
+                let arch = ServerArch::new(server.clone(), 1.0, mx);
+                let Ok(p) = model.predict(&arch, &Workload::typical(*clients)) else {
+                    continue;
+                };
+                if p.mrt_ms.is_finite() && *mrt > 0.0 {
+                    sum += (p.mrt_ms - mrt).abs() / mrt;
+                    scored += 1;
+                }
+            }
+            (scored > 0).then(|| sum / scored as f64)
+        };
+        let mut data = noisy(120);
+        data.extend(trace(1.3, 90).into_iter().map(|mut o| {
+            o.server = "AppServS".into();
+            o
+        }));
+        for (i, mut obs) in data.into_iter().enumerate() {
+            if i % 5 == 4 {
+                obs.buy_pct = 20.0; // not a drift sample
+            }
+            r.fold(&obs);
+            if obs.buy_pct == 0.0 {
+                let sample = (obs.server.clone(), obs.clients, obs.mrt_ms);
+                if ring.len() < opts.drift_window {
+                    ring.push(sample);
+                } else {
+                    ring[next] = sample;
+                    next = (next + 1) % ring.len();
+                }
+            }
+            if i % 23 == 22 {
+                let _ = r.fit();
+            }
+            let (a, b) = (r.drift_score(), full(&r, &ring));
+            assert_eq!(
+                a.map(f64::to_bits),
+                b.map(f64::to_bits),
+                "fold {i}: {a:?} vs {b:?}"
+            );
+        }
+        assert!(r.drift_score().is_some());
+    }
+
+    #[test]
+    fn a_fit_that_leaves_drift_over_the_threshold_does_not_refire() {
+        let opts = RefitOptions {
+            refit_window: 1_000_000,
+            drift_threshold: 0.25,
+            drift_window: 16,
+            ..RefitOptions::default()
+        };
+        let mut r = Refitter::new(&[ServerArch::app_serv_f()], opts);
+        let data = noisy(290);
+        for obs in &data[..116] {
+            assert!(r.fold(obs).is_none(), "no fit yet");
+        }
+        r.fit().expect("established");
+        assert!(r.drift_score().unwrap() > 0.25, "{:?}", r.drift_score());
+        for obs in &data[116..] {
+            assert_eq!(r.fold(obs), None, "a refit cannot explain this ring");
+        }
+        assert!(r.drift_score().unwrap() > 0.25);
+    }
+
+    #[test]
+    fn a_dip_under_the_threshold_rearms_the_drift_trigger() {
+        let arch = ServerArch::app_serv_f();
+        let opts = RefitOptions {
+            refit_window: 1_000_000,
+            drift_threshold: 0.25,
+            drift_window: 16,
+            ..RefitOptions::default()
+        };
+        let mut r = Refitter::new(std::slice::from_ref(&arch), opts);
+        for obs in &noisy(116) {
+            r.fold(obs);
+        }
+        r.fit().expect("established");
+        assert!(r.drift_score().unwrap() > 0.25, "disarmed");
+        // Points the fit predicts exactly push the score under the
+        // threshold; none of them fires.
+        for clients in 200..216 {
+            let obs = on_fit(&r, &arch, clients, 1.0);
+            assert_eq!(r.fold(&obs), None);
+        }
+        assert!(r.drift_score().unwrap() <= 0.25);
+        // A later shift fires again.
+        let mut fired = None;
+        for clients in 200..216 {
+            let obs = on_fit(&r, &arch, clients, 2.0);
+            if let Some(t) = r.fold(&obs) {
+                fired = Some(t);
+                break;
+            }
+        }
+        assert_eq!(fired, Some(RefitTrigger::Drift));
+    }
+
+    #[test]
+    fn a_drift_trigger_whose_fit_fails_stays_armed() {
+        let arch = ServerArch::app_serv_f();
+        let mut seedfit = Refitter::new(std::slice::from_ref(&arch), RefitOptions::default());
+        for obs in trace(1.0, 60) {
+            seedfit.fold(&obs);
+        }
+        let opts = RefitOptions {
+            refit_window: 1_000_000,
+            drift_threshold: 0.25,
+            drift_window: 4,
+            ..RefitOptions::default()
+        };
+        let mut r = Refitter::new(std::slice::from_ref(&arch), opts);
+        r.seed(seedfit.fit().unwrap());
+        // 1.6× the seed's own answers: drift on every fold once the ring
+        // fills, and only lower-region points so far, so no fit.
+        let mut drifts = 0;
+        for clients in [200, 210, 220, 230, 240, 250] {
+            let obs = on_fit(&r, &arch, clients, 1.6);
+            if let Some(trigger) = r.fold(&obs) {
+                assert_eq!(trigger, RefitTrigger::Drift);
+                assert!(r.fit().is_none(), "not established");
+                drifts += 1;
+            }
+        }
+        assert_eq!(drifts, 3, "every fold from the fourth retries");
+    }
+
+    /// Observations shaped like the serving benchmark's write stream: three
+    /// servers, clients over 0.15–1.55 of saturation, a response time flat
+    /// below saturation and linear above, a quarter of them at a 10–30 %
+    /// buy mix, and ±5 % seeded noise.
+    fn bench_shaped(count: u64) -> Vec<Observation> {
+        let servers = ServerArch::case_study_servers();
+        let mut state = 7u64;
+        let mut next = || {
+            state = perfpred_core::hash::splitmix64(state);
+            state
+        };
+        (0..count)
+            .map(|i| {
+                let arch = &servers[(next() % servers.len() as u64) as usize];
+                let mx = arch.max_throughput_rps;
+                let frac = 0.15 + 1.40 * (next() >> 11) as f64 / (1u64 << 53) as f64;
+                let clients = ((frac * mx * 7.02).round() as u32).max(1);
+                let buy_pct = if next() % 4 == 0 {
+                    10 * (1 + next() % 3)
+                } else {
+                    0
+                };
+                let lower = 20.0 + 40.0 * frac.powi(4);
+                let upper = 1_000.0 * f64::from(clients) / mx - 7_000.0;
+                let noise = 1.0 + 0.1 * ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+                let mrt_ms = lower.max(upper) * (1.0 + buy_pct as f64 / 200.0) * noise;
+                Observation {
+                    server: arch.name.clone(),
+                    clients,
+                    buy_pct: buy_pct as f32,
+                    mrt_ms,
+                    throughput_rps: f64::from(clients) * 1_000.0 / (7_000.0 + mrt_ms),
+                    timestamp_us: i,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_noisy_paper_shaped_stream_does_not_refit_on_every_fold() {
+        let opts = RefitOptions::default();
+        let mut r = Refitter::new(&ServerArch::case_study_servers(), opts);
+        let data = bench_shaped(20_000);
+        let mut refits = 0u64;
+        for obs in &data {
+            if r.fold(obs).is_some() && r.fit().is_some() {
+                refits += 1;
+            }
+        }
+        let per_obs = refits as f64 / data.len() as f64;
+        assert!(
+            per_obs <= 2.0 / opts.refit_window as f64,
+            "{refits} refits over {} observations",
+            data.len()
         );
     }
 

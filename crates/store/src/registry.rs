@@ -1,23 +1,28 @@
-//! Versioned model registry with lock-free hot swap.
+//! Versioned model registry with hot swap.
 //!
 //! The refitter publishes each newly fitted [`HistoricalModel`] as an
 //! immutable [`ModelVersion`]; the serve daemon's request threads read the
-//! *current* version through a single atomic pointer load — no lock, no
-//! allocation on the miss-free path — so a refit never stalls in-flight
-//! predictions and a prediction never observes a half-swapped model.
+//! *current* version by cloning its `Arc` under a read lock, so a refit
+//! never stalls in-flight predictions for longer than one pointer swap and
+//! a prediction never observes a half-swapped model.
 //!
-//! Safety model: `current` stores the raw pointer of an `Arc` that is
-//! *also* kept alive in the `versions` vec for the registry's whole
-//! lifetime, so readers can always revive a usable `Arc` from the pointer
-//! with `Arc::increment_strong_count`. Old versions are retained on
-//! purpose — they back `GET /models` and let cached predictions keyed by
-//! an older version stay attributable.
+//! Safety model: there is no `unsafe` here. Every version is an `Arc`, and
+//! a reader owns a strong reference for as long as it uses one, so a
+//! version lives exactly as long as the registry or some reader still
+//! holds it. That is what lets the registry retain only the last
+//! [`RETAINED_VERSIONS`] versions: evicting one from the history drops the
+//! registry's reference, and a reader still predicting from it keeps it
+//! alive until the reader is done. Version numbers come from their own
+//! counter, so they keep counting past evictions.
 
 use crate::refit::RefitTrigger;
 use perfpred_core::{PerformanceModel, PredictError, Prediction, ServerArch, Workload};
 use perfpred_hydra::HistoricalModel;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Versions the registry keeps for `GET /models`; older ones are evicted.
+pub const RETAINED_VERSIONS: usize = 256;
 
 /// One published model generation.
 #[derive(Debug)]
@@ -32,32 +37,37 @@ pub struct ModelVersion {
     pub trigger: RefitTrigger,
 }
 
-/// The registry: every published [`ModelVersion`] plus an atomically
-/// swappable pointer to the current one.
-pub struct ModelRegistry {
-    current: AtomicPtr<ModelVersion>,
-    versions: Mutex<Vec<Arc<ModelVersion>>>,
-    /// Versions retired by [`rewind`](Self::rewind), kept alive for the
-    /// registry's lifetime so the raw-pointer safety contract of
-    /// [`current`](Self::current) holds across a rewind: a reader that
-    /// loaded the pointer just before the rewind can still revive it.
-    retired: Mutex<Vec<Arc<ModelVersion>>>,
+#[derive(Default)]
+struct State {
+    /// The version readers are served; survives a rewind until the next
+    /// publish.
+    current: Option<Arc<ModelVersion>>,
+    /// The last [`RETAINED_VERSIONS`] published versions, oldest first.
+    history: VecDeque<Arc<ModelVersion>>,
+    /// The last version number assigned since creation or rewind.
+    last: u64,
 }
 
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The registry: the current [`ModelVersion`] plus the most recent ones.
+#[derive(Default)]
+pub struct ModelRegistry {
+    state: RwLock<State>,
 }
 
 impl ModelRegistry {
     /// An empty registry (version 0: nothing fitted yet).
     pub fn new() -> ModelRegistry {
-        ModelRegistry {
-            current: AtomicPtr::new(std::ptr::null_mut()),
-            versions: Mutex::new(Vec::new()),
-            retired: Mutex::new(Vec::new()),
-        }
+        ModelRegistry::default()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, State> {
+        // Every update below leaves the state valid at each step, so a
+        // panic elsewhere while the lock was held cannot corrupt it.
+        self.state.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, State> {
+        self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Retires every published version so the history can be rebuilt from
@@ -66,59 +76,49 @@ impl ModelRegistry {
     /// restarts at 1, which is exactly what makes the rebuilt registry
     /// byte-identical to one that never saw the dropped tail. `current`
     /// keeps serving the last retired version until the rebuild's first
-    /// publish, so reads never hit an empty registry mid-rollback; retired
-    /// entries stay alive for the registry's lifetime (see the safety
-    /// model above).
+    /// publish, so reads never hit an empty registry mid-rollback.
     pub fn rewind(&self) {
-        let mut versions = self.versions.lock().unwrap();
-        self.retired.lock().unwrap().append(&mut versions);
+        let mut state = self.write();
+        state.history.clear();
+        state.last = 0;
     }
 
-    /// Publishes a fitted model as the next version and hot-swaps it in.
+    /// Publishes a fitted model as the next version and hot-swaps it in,
+    /// evicting the oldest retained version past [`RETAINED_VERSIONS`].
     /// Returns the version number assigned.
     pub fn publish(&self, model: HistoricalModel, observations: u64, trigger: RefitTrigger) -> u64 {
-        let mut versions = self.versions.lock().unwrap();
-        let version = versions.len() as u64 + 1;
+        let mut state = self.write();
+        let version = state.last + 1;
         let entry = Arc::new(ModelVersion {
             version,
             model,
             observations,
             trigger,
         });
-        let ptr = Arc::as_ptr(&entry) as *mut ModelVersion;
-        versions.push(entry);
-        // Publish after the vec holds its keep-alive reference. Release
-        // pairs with the Acquire in `current()` so readers see the fully
-        // initialised ModelVersion behind the pointer.
-        self.current.store(ptr, Ordering::Release);
+        if state.history.len() == RETAINED_VERSIONS {
+            state.history.pop_front();
+        }
+        state.history.push_back(Arc::clone(&entry));
+        state.current = Some(entry);
+        state.last = version;
         version
     }
 
-    /// The current model version, lock-free. `None` until the first
+    /// The current model version. `None` until the first
     /// [`publish`](Self::publish).
     pub fn current(&self) -> Option<Arc<ModelVersion>> {
-        let ptr = self.current.load(Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        // SAFETY: `ptr` was produced by `Arc::as_ptr` on an Arc that the
-        // `versions` vec keeps alive (entries are never removed), so the
-        // strong count is ≥ 1 for the registry's lifetime and reviving a
-        // second Arc from the pointer is sound.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Some(Arc::from_raw(ptr))
-        }
+        self.read().current.clone()
     }
 
     /// The current version number; 0 while the registry is empty.
     pub fn version(&self) -> u64 {
-        self.current().map_or(0, |v| v.version)
+        self.read().current.as_ref().map_or(0, |v| v.version)
     }
 
-    /// Snapshot of every published version, oldest first.
+    /// Snapshot of the retained versions (at most [`RETAINED_VERSIONS`]),
+    /// oldest first.
     pub fn versions(&self) -> Vec<Arc<ModelVersion>> {
-        self.versions.lock().unwrap().clone()
+        self.read().history.iter().cloned().collect()
     }
 }
 
@@ -181,6 +181,7 @@ impl PerformanceModel for RegistryModel {
 mod tests {
     use super::*;
     use perfpred_hydra::ServerObservations;
+    use std::sync::atomic::Ordering;
 
     fn fitted(c_low: f64) -> HistoricalModel {
         let mx = 186.0;
@@ -299,13 +300,74 @@ mod tests {
                 last
             }));
         }
-        for i in 0..50 {
-            reg.publish(fitted(20.0 + i as f64), i, RefitTrigger::Window);
+        let publishes = 2 * RETAINED_VERSIONS as u64;
+        for i in 0..publishes {
+            reg.publish(fitted(20.0 + (i % 50) as f64), i, RefitTrigger::Window);
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(reg.version(), 51);
+        assert_eq!(reg.version(), publishes + 1);
+        assert_eq!(reg.versions().len(), RETAINED_VERSIONS);
+    }
+
+    #[test]
+    fn history_keeps_the_last_retained_versions_and_numbering_continues() {
+        let reg = ModelRegistry::new();
+        let model = fitted(20.0);
+        let publishes = 4 * RETAINED_VERSIONS as u64;
+        for i in 1..=publishes {
+            let trigger = if i % 3 == 0 {
+                RefitTrigger::Drift
+            } else {
+                RefitTrigger::Window
+            };
+            assert_eq!(reg.publish(model.clone(), 10 * i, trigger), i);
+            assert!(reg.versions().len() <= RETAINED_VERSIONS);
+        }
+        assert_eq!(reg.version(), publishes);
+        let versions = reg.versions();
+        assert_eq!(versions.len(), RETAINED_VERSIONS);
+        let first = publishes - RETAINED_VERSIONS as u64 + 1;
+        for (v, expected) in versions.iter().zip(first..) {
+            assert_eq!(v.version, expected);
+            assert_eq!(v.observations, 10 * expected);
+        }
+        assert_eq!(reg.publish(model, 0, RefitTrigger::Window), publishes + 1);
+        assert_eq!(reg.versions().last().unwrap().version, publishes + 1);
+    }
+
+    #[test]
+    fn a_reader_holding_an_evicted_version_still_predicts() {
+        let reg = ModelRegistry::new();
+        reg.publish(fitted(20.0), 1, RefitTrigger::Window);
+        let held = reg.current().unwrap();
+        let server = ServerArch::app_serv_f();
+        let wl = Workload::typical(200);
+        let before = held.model.predict(&server, &wl).unwrap().mrt_ms;
+        for i in 0..2 * RETAINED_VERSIONS as u64 {
+            reg.publish(fitted(32.0), i, RefitTrigger::Window);
+        }
+        assert!(reg.versions().iter().all(|v| v.version != 1), "evicted");
+        assert_eq!(held.version, 1);
+        let after = held.model.predict(&server, &wl).unwrap().mrt_ms;
+        assert_eq!(before.to_bits(), after.to_bits());
+    }
+
+    #[test]
+    fn rewind_after_eviction_restarts_numbering_at_one() {
+        let reg = ModelRegistry::new();
+        for i in 0..RETAINED_VERSIONS as u64 + 10 {
+            reg.publish(fitted(20.0), i, RefitTrigger::Window);
+        }
+        reg.rewind();
+        assert!(reg.versions().is_empty());
+        assert_eq!(reg.version(), RETAINED_VERSIONS as u64 + 10);
+        assert_eq!(reg.publish(fitted(20.0), 1, RefitTrigger::Window), 1);
+        assert_eq!(reg.publish(fitted(20.0), 2, RefitTrigger::Drift), 2);
+        let versions = reg.versions();
+        assert_eq!(versions.len(), 2);
+        assert_eq!((versions[0].version, versions[1].version), (1, 2));
     }
 }
